@@ -10,16 +10,7 @@ import argparse
 
 import numpy as np
 
-from seiard import (
-    FitWindow,
-    SearchSpace,
-    build_initial_state,
-    fit_loss,
-    integrate,
-    mape,
-    minimize,
-    observe,
-)
+from seiard import FitWindow, SearchSpace, fit_loss, mape, minimize, simulate_observed
 from seiard.defaults import DEFAULT_WINDOW, REPARAM_PINS, SEARCH_BOUNDS
 from seiard.dynamics import ModelParams
 from seiard.synthdata import NoiseSpec, default_config, generate
@@ -44,10 +35,10 @@ for seed in args.seeds:
             space, budget=args.budget, seed=seed)
         params = ModelParams.from_dict(result.best_params)
         config = dataset.config
-        init = build_initial_state(params, config.population_n,
-                                   config.init_observed,
-                                   config.a0_fatal_fraction)
-        predicted = observe(integrate(params, init, config.horizon, config.dt))
+        predicted = simulate_observed(params, config.population_n,
+                                      config.init_observed,
+                                      config.a0_fatal_fraction,
+                                      config.horizon, config.dt)
         total = predicted.series("total")
         for h in args.horizons:
             span = slice(window.t_begin, h + 1)

@@ -20,13 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import runconfig
-from .dynamics import (
-    DivergenceError,
-    ModelParams,
-    build_initial_state,
-    integrate,
-    observe,
-)
+from .dynamics import DivergenceError, ModelParams, simulate_observed
 from .loss import FitWindow, fit_loss, mape
 from .mcmc import gelman_rubin, pooled_param, run_chains
 from .optimize import NoFeasiblePointError, minimize
@@ -101,6 +95,11 @@ def cmd_profile(resolved: dict, out: Path) -> None:
         windows = [base_window]
     threads = int(resolved["threads"])
     warm_start = bool(section["warm_start"]) and threads <= 1
+    if section["warm_start"] and not warm_start:
+        print(f"seiard profile: warm start is off with --threads {threads}; "
+              "the curves can differ from a --threads 1 run", file=sys.stderr)
+    # the posterior threshold depends on the window only, not on the parameter
+    posterior_thresholds: dict[FitWindow, float] = {}
 
     for param in section["params"]:
         widths = {}
@@ -116,12 +115,13 @@ def cmd_profile(resolved: dict, out: Path) -> None:
                 warm_start=warm_start, n_jobs=threads)
             alpha = float(section["alpha"])
             if section["threshold"] == "posterior":
-                chains = run_chains(
-                    dataset, runconfig.build_mcmc_config(resolved, window=window))
-                threshold, _ = posterior_loss_threshold(
-                    dataset, chains, window, alpha=alpha,
-                    seed=int(resolved["mcmc"]["seed"]))
-                threshold = max(threshold, curve.min_loss)
+                if window not in posterior_thresholds:
+                    chains = run_chains(
+                        dataset, runconfig.build_mcmc_config(resolved, window=window))
+                    posterior_thresholds[window], _ = posterior_loss_threshold(
+                        dataset, chains, window, alpha=alpha,
+                        seed=int(resolved["mcmc"]["seed"]))
+                threshold = max(posterior_thresholds[window], curve.min_loss)
             else:
                 threshold = chi2_threshold(curve, alpha)
             interval = pl_interval(curve, threshold, alpha=alpha)
@@ -129,11 +129,13 @@ def cmd_profile(resolved: dict, out: Path) -> None:
             suffix = f"_w{duration}" if sweeping else ""
             curve.write_csv(out / f"pl_{param}{suffix}.csv")
             write_pl_json(out / f"pl_{param}{suffix}.json", curve,
-                          interval=interval, verdict=verdict)
+                          interval=interval, verdict=verdict,
+                          warm_start=warm_start)
             widths[str(duration)] = interval.width
         if sweeping:
             _write_json(out / f"pl_{param}_widths.json",
-                        {"param": param, "width_by_window": widths})
+                        {"param": param, "width_by_window": widths,
+                         "warm_start": warm_start})
 
 
 def cmd_mcmc(resolved: dict, out: Path) -> None:
@@ -199,9 +201,9 @@ def cmd_report(resolved: dict, out: Path) -> None:
 def _forecast_mape_curve(dataset, params: ModelParams, window: FitWindow,
                          horizons: list[int]) -> dict[int, float]:
     config = dataset.config
-    init = build_initial_state(params, config.population_n,
-                               config.init_observed, config.a0_fatal_fraction)
-    predicted = observe(integrate(params, init, config.horizon, config.dt))
+    predicted = simulate_observed(params, config.population_n,
+                                  config.init_observed, config.a0_fatal_fraction,
+                                  config.horizon, config.dt)
     result = {}
     for h in horizons:
         pred = predicted.window(window.t_begin, h).series("total")

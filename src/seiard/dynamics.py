@@ -230,6 +230,11 @@ def _check_day(day: int, values: tuple) -> tuple:
 def integrate(params: ModelParams, init: State, horizon: int, dt: float = 0.1) -> Trajectory:
     """Integrate the model with classic fixed-step RK4, sampling integer days.
 
+    The output is bit-stable: every floating-point operation runs in a fixed
+    order, so the same inputs give the same bytes on every call.
+    tests/test_dynamics.py pins it bit for bit against the closure-based
+    reference in tests/rk4_reference.py.
+
     Args:
         params: model parameters.
         init: day-0 state; the conserved population size is its total.
@@ -263,62 +268,87 @@ def integrate(params: ModelParams, init: State, horizon: int, dt: float = 0.1) -
     sigma = params.sigma
     gamma = params.gamma
     pf = params.p_fatal
+    pr = 1.0 - pf
     inv_tr = 1.0 / params.t_recov
     inv_tf = 1.0 / params.t_fatal
 
-    def deriv(s, e, i, ar, af, r, d):
-        infection = beta_n * i * s
-        incubation = sigma * e
-        onset = gamma * i
-        recovery = ar * inv_tr
-        death = af * inv_tf
-        return (
-            -infection,
-            infection - incubation,
-            incubation - onset,
-            (1.0 - pf) * onset - recovery,
-            pf * onset - death,
-            recovery,
-            death,
-        )
-
     half = 0.5 * h
     sixth = h / 6.0
+    inf = math.inf
 
-    y = (init.s, init.e, init.i, init.a_recov, init.a_fatal, init.r, init.d)
-    out = np.empty((horizon + 1, 7))
-    out[0] = y
+    s, e, i, ar, af, r, d = (init.s, init.e, init.i, init.a_recov, init.a_fatal,
+                             init.r, init.d)
+    rows = [(s, e, i, ar, af, r, d)]
+    substeps = range(steps_per_day)
 
+    # Straight-line RK4 that keeps every floating-point operation of the
+    # closure-based form (one derivative call per stage) in the same order.  Stage k has flows fk (infection), gk (incubation), ok (onset),
+    # uk (recovery) and wk (death), and slopes dek, dik, dak, dbk for e, i,
+    # a_recov and a_fatal.  The slope of s is -fk, so s moves by subtraction
+    # (x - y equals x + (-y) exactly).  r and d feed no flow, so their stage
+    # values are never formed.
     for day in range(1, horizon + 1):
-        s, e, i, ar, af, r, d = y
-        for _ in range(steps_per_day):
-            k1 = deriv(s, e, i, ar, af, r, d)
-            k2 = deriv(
-                s + half * k1[0], e + half * k1[1], i + half * k1[2],
-                ar + half * k1[3], af + half * k1[4], r + half * k1[5],
-                d + half * k1[6],
-            )
-            k3 = deriv(
-                s + half * k2[0], e + half * k2[1], i + half * k2[2],
-                ar + half * k2[3], af + half * k2[4], r + half * k2[5],
-                d + half * k2[6],
-            )
-            k4 = deriv(
-                s + h * k3[0], e + h * k3[1], i + h * k3[2],
-                ar + h * k3[3], af + h * k3[4], r + h * k3[5],
-                d + h * k3[6],
-            )
-            s = s + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-            e = e + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-            i = i + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-            ar = ar + sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
-            af = af + sixth * (k1[4] + 2.0 * (k2[4] + k3[4]) + k4[4])
-            r = r + sixth * (k1[5] + 2.0 * (k2[5] + k3[5]) + k4[5])
-            d = d + sixth * (k1[6] + 2.0 * (k2[6] + k3[6]) + k4[6])
-        y = _check_day(day, (s, e, i, ar, af, r, d))
-        out[day] = y
+        for _ in substeps:
+            f1 = beta_n * i * s
+            g1 = sigma * e
+            o1 = gamma * i
+            u1 = ar * inv_tr
+            w1 = af * inv_tf
+            de1 = f1 - g1
+            di1 = g1 - o1
+            da1 = pr * o1 - u1
+            db1 = pf * o1 - w1
 
-    return Trajectory(times=np.arange(horizon + 1, dtype=float), states=out,
+            i_ = i + half * di1
+            ar_ = ar + half * da1
+            af_ = af + half * db1
+            f2 = beta_n * i_ * (s - half * f1)
+            g2 = sigma * (e + half * de1)
+            o2 = gamma * i_
+            u2 = ar_ * inv_tr
+            w2 = af_ * inv_tf
+            de2 = f2 - g2
+            di2 = g2 - o2
+            da2 = pr * o2 - u2
+            db2 = pf * o2 - w2
+
+            i_ = i + half * di2
+            ar_ = ar + half * da2
+            af_ = af + half * db2
+            f3 = beta_n * i_ * (s - half * f2)
+            g3 = sigma * (e + half * de2)
+            o3 = gamma * i_
+            u3 = ar_ * inv_tr
+            w3 = af_ * inv_tf
+            de3 = f3 - g3
+            di3 = g3 - o3
+            da3 = pr * o3 - u3
+            db3 = pf * o3 - w3
+
+            i_ = i + h * di3
+            ar_ = ar + h * da3
+            af_ = af + h * db3
+            f4 = beta_n * i_ * (s - h * f3)
+            g4 = sigma * (e + h * de3)
+            o4 = gamma * i_
+            u4 = ar_ * inv_tr
+            w4 = af_ * inv_tf
+
+            s = s - sixth * (f1 + 2.0 * (f2 + f3) + f4)
+            e = e + sixth * (de1 + 2.0 * (de2 + de3) + (f4 - g4))
+            i = i + sixth * (di1 + 2.0 * (di2 + di3) + (g4 - o4))
+            ar = ar + sixth * (da1 + 2.0 * (da2 + da3) + (pr * o4 - u4))
+            af = af + sixth * (db1 + 2.0 * (db2 + db3) + (pf * o4 - w4))
+            r = r + sixth * (u1 + 2.0 * (u2 + u3) + u4)
+            d = d + sixth * (w1 + 2.0 * (w2 + w3) + w4)
+        if not (0.0 <= s < inf and 0.0 <= e < inf and 0.0 <= i < inf
+                and 0.0 <= ar < inf and 0.0 <= af < inf and 0.0 <= r < inf
+                and 0.0 <= d < inf):
+            s, e, i, ar, af, r, d = _check_day(day, (s, e, i, ar, af, r, d))
+        rows.append((s, e, i, ar, af, r, d))
+
+    return Trajectory(times=np.arange(horizon + 1, dtype=float),
+                      states=np.array(rows, dtype=float),
                       population_n=population_n)
 
 
@@ -369,6 +399,20 @@ def build_initial_state(params: ModelParams, population_n: float,
         r=r0,
         d=d0,
     )
+
+
+def simulate_observed(params: ModelParams, population_n: float,
+                      init_observed: tuple[float, float, float],
+                      a0_fatal_fraction: float | None, horizon: int,
+                      dt: float = 0.1) -> ObservedSeries:
+    """Reportable series on days 0..horizon for one parameter vector.
+
+    The day-0 state comes from build_initial_state, the solve from integrate
+    and the series from observe; this is the one path from parameters to
+    observed counts.  Raises what those three raise, notably DivergenceError.
+    """
+    init = build_initial_state(params, population_n, init_observed, a0_fatal_fraction)
+    return observe(integrate(params, init, horizon, dt))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DivergenceError, ModelParams, build_initial_state, integrate, observe
+from .dynamics import DivergenceError, ModelParams, simulate_observed
 from .synthdata import Dataset
 
 # Denominator guard: counts below one person are treated as one person so a
@@ -60,14 +60,14 @@ def fit_loss(dataset: Dataset, params: ModelParams, window: FitWindow,
     if window.t_end > dataset.config.horizon:
         raise ValueError(
             f"window end {window.t_end} exceeds dataset horizon {dataset.config.horizon}")
-    init = build_initial_state(params, dataset.config.population_n,
-                               dataset.config.init_observed,
-                               dataset.config.a0_fatal_fraction)
+    config = dataset.config
     try:
-        trajectory = integrate(params, init, window.t_end, dt)
+        simulated = simulate_observed(params, config.population_n,
+                                      config.init_observed,
+                                      config.a0_fatal_fraction, window.t_end, dt)
     except DivergenceError:
         return math.inf
-    predicted = observe(trajectory).window(window.t_begin, window.t_end)
+    predicted = simulated.window(window.t_begin, window.t_end)
     reported = dataset.observed.window(window.t_begin, window.t_end)
     return float(np.mean([
         mape(reported.series(name), predicted.series(name)) for name in LOSS_SERIES

@@ -20,9 +20,7 @@ from .dynamics import (
     PARAM_NAMES,
     DivergenceError,
     ModelParams,
-    build_initial_state,
-    integrate,
-    observe,
+    simulate_observed,
 )
 from .loss import EPSILON_PERSONS, FitWindow
 from .synthdata import Dataset
@@ -139,10 +137,9 @@ def _window_log_diffs(observed, window: FitWindow, components) -> np.ndarray:
 def _model_log_diffs(params: ModelParams, dataset: Dataset, window: FitWindow,
                      components) -> np.ndarray:
     config = dataset.config
-    init = build_initial_state(params, config.population_n, config.init_observed,
-                               config.a0_fatal_fraction)
-    trajectory = integrate(params, init, window.t_end, config.dt)
-    predicted = observe(trajectory).window(window.t_begin, window.t_end)
+    predicted = simulate_observed(params, config.population_n, config.init_observed,
+                                  config.a0_fatal_fraction, window.t_end,
+                                  config.dt).window(window.t_begin, window.t_end)
     return np.stack([log_diff(predicted.series(name)) for name in components])
 
 

@@ -23,9 +23,7 @@ from .dynamics import (
     PARAM_NAMES,
     DivergenceError,
     ModelParams,
-    build_initial_state,
-    integrate,
-    observe,
+    simulate_observed,
 )
 
 OBSERVED_FOR_RANK = ("active", "recovered", "deceased")
@@ -100,9 +98,8 @@ def svd_rank(matrix) -> tuple[np.ndarray, int, float, np.ndarray]:
 
 def _observed_stack(params: ModelParams, times: np.ndarray, population_n: float,
                     init_observed, a0_fatal_fraction, dt: float) -> np.ndarray:
-    init = build_initial_state(params, population_n, init_observed, a0_fatal_fraction)
-    trajectory = integrate(params, init, int(times.max()), dt)
-    series = observe(trajectory)
+    series = simulate_observed(params, population_n, init_observed,
+                               a0_fatal_fraction, int(times.max()), dt)
     indices = times.astype(int)
     return np.concatenate([np.asarray(series.series(name))[indices]
                            for name in OBSERVED_FOR_RANK])

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import defaults
-from .dynamics import ModelParams, ObservedSeries, build_initial_state, integrate, observe
+from .dynamics import ModelParams, ObservedSeries, simulate_observed
 
 # Series order used for per-series RNG stream derivation.
 NOISY_SERIES = ("active", "recovered", "deceased")
@@ -102,9 +102,9 @@ def generate(config: DatasetConfig) -> Dataset:
     deceased) are re-monotonized with a running maximum afterwards, and the
     total is recomputed from the three noisy series.
     """
-    init = build_initial_state(config.true_params, config.population_n,
-                               config.init_observed, config.a0_fatal_fraction)
-    clean = observe(integrate(config.true_params, init, config.horizon, config.dt))
+    clean = simulate_observed(config.true_params, config.population_n,
+                              config.init_observed, config.a0_fatal_fraction,
+                              config.horizon, config.dt)
     if config.noise.sigma == 0.0:
         return Dataset(observed=clean, config=config)
 

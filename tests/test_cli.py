@@ -2,13 +2,16 @@
 byte-stable manifest reruns."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from seiard import defaults, runconfig
 from seiard.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from seiard.mcmc import run_chains
 from seiard.runconfig import ConfigError
 
 
@@ -173,6 +176,60 @@ class TestProfile:
         payload = read_json(out / "pl_beta.json")
         assert payload["interval"]["threshold"] >= min(payload["profiled_loss"])
 
+    def test_posterior_threshold_chains_run_once_per_window(self, tmp_path,
+                                                             monkeypatch):
+        import seiard.cli as cli_module
+
+        calls = []
+
+        def counting_run_chains(*args, **kwargs):
+            calls.append(args[1].window)
+            return run_chains(*args, **kwargs)
+
+        posterior = ("--set", "dataset.sigma_noise=0.05",
+                     "--set", "profile.threshold=posterior",
+                     "--set", "mcmc.n_samples=300", "--set", "mcmc.n_burn=50",
+                     "--set", "mcmc.thin=5", "--set", "mcmc.n_chains=1",
+                     "--set", "mcmc.seed=2")
+        monkeypatch.setattr(cli_module, "run_chains", counting_run_chains)
+        single = tmp_path / "single"
+        for param in ("beta", "p_fatal"):
+            assert run_cli("profile", "--out", str(single / param), *FAST_PROFILE,
+                           *posterior, "--set", f'profile.params=["{param}"]') == EXIT_OK
+        assert len(calls) == 2
+        calls.clear()
+
+        both = tmp_path / "both"
+        assert run_cli("profile", "--out", str(both), *FAST_PROFILE, *posterior,
+                       "--set", 'profile.params=["beta","p_fatal"]') == EXIT_OK
+        assert len(calls) == 1
+        for param in ("beta", "p_fatal"):
+            got = read_json(both / f"pl_{param}.json")["interval"]
+            want = read_json(single / param / f"pl_{param}.json")["interval"]
+            assert got == want
+
+    def test_warm_start_recorded_and_threads_warn(self, tmp_path, capsys):
+        out = tmp_path / "one"
+        assert run_cli("profile", "--out", str(out), *FAST_PROFILE,
+                       "--set", "profile.windows=[14]") == EXIT_OK
+        assert "warm start" not in capsys.readouterr().err
+        assert read_json(out / "pl_beta_w14.json")["warm_start"] is True
+        assert read_json(out / "pl_beta_widths.json")["warm_start"] is True
+
+        out = tmp_path / "two"
+        assert run_cli("profile", "--out", str(out), *FAST_PROFILE,
+                       "--threads", "2") == EXIT_OK
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "warm start is off" in err[0]
+        assert read_json(out / "pl_beta.json")["warm_start"] is False
+
+        out = tmp_path / "off"
+        assert run_cli("profile", "--out", str(out), *FAST_PROFILE,
+                       "--set", "profile.warm_start=false",
+                       "--threads", "2") == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert read_json(out / "pl_beta.json")["warm_start"] is False
+
     def test_unknown_param_is_usage_error(self, tmp_path):
         code = run_cli("profile", "--out", str(tmp_path / "r"),
                        "--set", 'profile.params=["zeta"]')
@@ -303,6 +360,18 @@ class TestEntryPoint:
         code = run_cli("simulate", "--config", str(tmp_path / "absent.json"),
                        "--out", str(tmp_path / "r"))
         assert code == EXIT_USAGE
+
+    def test_import_leaves_scipy_stats_out(self):
+        # scipy.stats costs about half a second of every start-up
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, seiard.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True)
+        assert result.stdout.strip() == "False"
 
     def test_bad_threads_usage_error(self, tmp_path):
         code = run_cli("report", "--out", str(tmp_path / "r"), "--threads", "0")

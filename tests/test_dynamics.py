@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import seiard.dynamics as dynamics_module
+from rk4_reference import integrate_reference
 from seiard import defaults
 from seiard.dynamics import (
     COMPARTMENTS,
@@ -220,6 +222,96 @@ class TestIntegrate:
         values = (1.0, 0.0, float("nan"), 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(DivergenceError, match="day 2"):
             _check_day(2, values)
+
+
+def _outcome(solve):
+    """The bytes of a solve's states, or the message it diverged with."""
+    try:
+        return "states", solve().tobytes()
+    except DivergenceError as error:
+        return "diverged", str(error)
+
+
+search_params = st.builds(
+    ModelParams,
+    **{name: st.floats(lo, hi) for name, (lo, hi) in defaults.SEARCH_BOUNDS.items()},
+)
+
+# Found by bisecting beta (beyond the search box) until one compartment ends a
+# day inside the clamp band (-NEGATIVE_CLAMP, 0): (params, population, dt,
+# day on which the clamp fires, horizon, divergence message or None).
+CLAMP_CASES = [
+    (ModelParams(beta=10.405948101752564, t_inc=1.412740069786893,
+                 t_inf=2.7078885806229396, t_recov=10.091272826344765,
+                 t_fatal=4.307021204512595, p_fatal=0.6331843992741164,
+                 e0=4.837179762468383, i0=3.4153241115481263),
+     368.5524752432372, 1.0, 3, 40, None),
+    (ModelParams(beta=33.151001567530955, t_inc=2.553843960924553,
+                 t_inf=1.5709773081978249, t_recov=1.809945603243822,
+                 t_fatal=1.8698610679933805, p_fatal=0.6038055172624386,
+                 e0=0.5631642755565913, i0=0.0995537441871075),
+     21477.704197873303, 0.5, 5, 40, None),
+    (ModelParams(beta=45.74963516610402, t_inc=2.7427496364176553,
+                 t_inf=7.802613772341572, t_recov=8.328665260655306,
+                 t_fatal=17.540185769829414, p_fatal=0.4980560549172479,
+                 e0=3.462590659149867, i0=1.6951268732465503),
+     1233.9967494479577, 0.5, 2, 10,
+     "e=-2.8215701532104443e+18 fell below zero at day 3"),
+]
+
+RAISE_CASES = [
+    (ModelParams(beta=38.35751720680286, t_inc=7.525530087421712,
+                 t_inf=2.9642151278151507, t_recov=2.5767517692917634,
+                 t_fatal=1.024796758188872, p_fatal=0.6457208955749478,
+                 e0=3.5995469175434653, i0=4.177846082501371),
+     491.2097338001176, 0.5, "e=-196.79752581978633 fell below zero at day 5"),
+    (TRUE.replace(beta=1e300), N, 1.0, "non-finite s=nan at day 1"),
+]
+
+
+class TestKernelBitIdentity:
+    """integrate reproduces the closure-based reference RK4 byte for byte."""
+
+    @given(params=search_params, dt=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+           horizon=st.integers(1, 120))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, params, dt, horizon):
+        init = default_init(params)
+        got = _outcome(lambda: integrate(params, init, horizon, dt).states)
+        want = _outcome(lambda: integrate_reference(params, init, horizon, dt))
+        assert got == want
+
+    @pytest.mark.parametrize("params, population, dt, clamp_day, horizon, message",
+                             CLAMP_CASES)
+    def test_clamp_during_integration(self, params, population, dt, clamp_day,
+                                      horizon, message, monkeypatch):
+        init = build_initial_state(params, population, defaults.INIT_OBSERVED)
+        clamped = []
+        want = _outcome(lambda: integrate_reference(params, init, horizon, dt,
+                                                    on_clamp=clamped.append))
+        assert clamped == [clamp_day]
+        checked = []
+
+        def spy(day, values):
+            checked.append(day)
+            return _check_day(day, values)
+
+        monkeypatch.setattr(dynamics_module, "_check_day", spy)
+        got = _outcome(lambda: integrate(params, init, horizon, dt).states)
+        assert got == want
+        assert clamp_day in checked
+        if message is None:
+            row = integrate(params, init, clamp_day, dt).states[clamp_day]
+            assert row.min() == 0.0
+        else:
+            assert got == ("diverged", message)
+
+    @pytest.mark.parametrize("params, population, dt, message", RAISE_CASES)
+    def test_divergence_during_integration(self, params, population, dt, message):
+        init = build_initial_state(params, population, defaults.INIT_OBSERVED)
+        got = _outcome(lambda: integrate(params, init, 40, dt).states)
+        want = _outcome(lambda: integrate_reference(params, init, 40, dt))
+        assert got == want == ("diverged", message)
 
 
 class TestLti:

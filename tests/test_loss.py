@@ -77,12 +77,12 @@ class TestFitLoss:
             fit_loss(dataset, TRUE, FitWindow(0, 61))
 
     def test_divergence_maps_to_inf(self, dataset, monkeypatch):
-        import seiard.loss as loss_module
+        import seiard.dynamics as dynamics_module
 
         def boom(*args, **kwargs):
             raise DivergenceError("synthetic failure at day 3")
 
-        monkeypatch.setattr(loss_module, "integrate", boom)
+        monkeypatch.setattr(dynamics_module, "integrate", boom)
         assert fit_loss(dataset, TRUE, FitWindow(0, 28)) == math.inf
 
     def test_loss_uses_candidate_initial_counts(self, dataset):

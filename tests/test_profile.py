@@ -182,6 +182,15 @@ class TestThresholds:
         want = 0.25 + chi2.ppf(0.95, df=1)
         assert chi2_threshold(curve, 0.95) == pytest.approx(want, rel=1e-12)
 
+    def test_chi2_quantile_bit_identical_to_scipy_stats(self):
+        curve = make_curve([3, 1, 0.0, 1, 3])
+        alphas = np.concatenate([[0.5, 0.6827, 0.8, 0.9, 0.95, 0.99, 0.999],
+                                 np.linspace(0.001, 0.999, 999),
+                                 np.geomspace(1e-9, 1e-3, 50),
+                                 1.0 - np.geomspace(1e-9, 1e-3, 50)])
+        got = [chi2_threshold(curve, float(a)) for a in alphas]
+        assert got == [float(v) for v in chi2.ppf(alphas, df=1)]
+
     def test_posterior_threshold_matches_quantile_of_returned_losses(self):
         dataset = synthdata.generate(synthdata.default_config(horizon=40))
         config = McmcConfig(window=FitWindow(0, 7), n_samples=60, n_burn=20,

@@ -1,0 +1,81 @@
+"""Print the sha256 of every artifact of the six seiard subcommands.
+
+    python3 tools/artifact_hashes.py [--src DIR] > hashes.txt
+
+Each run below starts `python -m seiard.cli` with DIR (default: this
+checkout's src/) first on PYTHONPATH, inside a fresh temporary directory and
+with the same relative `--out`, so the `out_dir` recorded in manifest.json is
+the same from one checkout to the next.  Run it on two checkouts and diff the
+outputs to see whether a change kept the artifacts byte for byte.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+OUT = "out"
+
+NOISY = ("--set", "dataset.sigma_noise=0.05")
+SMALL_PROFILE = ("--set", "profile.grid_points=7",
+                 "--set", "profile.inner_budget=40")
+SMALL_MCMC = ("--set", "mcmc.n_samples=600", "--set", "mcmc.n_burn=100",
+              "--set", "mcmc.thin=5", "--set", "mcmc.n_chains=2")
+
+# (label, argv after `seiard`); every subcommand at a small fixed config
+RUNS = (
+    ("simulate", ("simulate", *NOISY)),
+    ("fit", ("fit", *NOISY, "--set", "fit.budget=150")),
+    ("fit-original-tpe", ("fit", *NOISY, "--set", "variant=original",
+                          "--set", "fit.method=tpe", "--set", "fit.budget=80")),
+    ("profile-chi2", ("profile", *NOISY, *SMALL_PROFILE,
+                      "--set", 'profile.params=["beta","p_fatal"]')),
+    ("profile-windows", ("profile", *NOISY, *SMALL_PROFILE,
+                         "--set", "profile.windows=[14,28]")),
+    ("profile-posterior", ("profile", *NOISY, *SMALL_PROFILE, *SMALL_MCMC,
+                           "--set", "profile.threshold=posterior",
+                           "--set", 'profile.params=["beta","p_fatal"]')),
+    ("profile-threads", ("profile", *NOISY, *SMALL_PROFILE, "--threads", "2")),
+    ("mcmc", ("mcmc", *NOISY, *SMALL_MCMC)),
+    ("report", ("report",)),
+    ("report-original", ("report", "--set", "variant=original")),
+    ("forecast-eval", ("forecast-eval", *NOISY,
+                       "--set", "forecast.horizons=[42,100]",
+                       "--set", "forecast.seeds=[1,2]",
+                       "--set", "forecast.budget=60")),
+)
+
+
+def run(src: Path, label: str, argv: tuple[str, ...]) -> list[str]:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    with tempfile.TemporaryDirectory() as tmp:
+        done = subprocess.run([sys.executable, "-m", "seiard.cli", *argv,
+                               "--out", OUT], cwd=tmp, env=env,
+                              capture_output=True, text=True)
+        if done.returncode != 0:
+            raise SystemExit(f"{label} exited {done.returncode}: {done.stderr}")
+        out = Path(tmp) / OUT
+        return [f"{label}/{path.name} "
+                f"{hashlib.sha256(path.read_bytes()).hexdigest()}"
+                for path in sorted(out.iterdir())]
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=SRC,
+                        help="directory holding the seiard package")
+    args = parser.parse_args()
+    for label, argv in RUNS:
+        for line in run(args.src.resolve(), label, argv):
+            print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()
