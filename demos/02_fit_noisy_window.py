@@ -5,7 +5,7 @@ Only beta, t_recov, p_fatal and the two seed counts are free; the three
 pinned timescales play the role of values taken from prior studies.
 """
 
-from seiard import FitWindow, SearchSpace, fit_loss, generate, minimize
+from seiard import FitWindow, SearchSpace, fit_loss, fit_objective, generate, minimize
 from seiard.defaults import (
     DEFAULT_WINDOW,
     FIT_BUDGET_REPARAM,
@@ -22,10 +22,9 @@ def main():
     window = FitWindow(*DEFAULT_WINDOW)
     space = SearchSpace(bounds=SEARCH_BOUNDS, pinned=REPARAM_PINS)
 
-    def objective(candidate):
-        return fit_loss(dataset, ModelParams.from_dict(candidate), window)
-
-    result = minimize(objective, space, budget=FIT_BUDGET_REPARAM, seed=1)
+    objective, batch_objective = fit_objective(dataset, window)
+    result = minimize(objective, space, budget=FIT_BUDGET_REPARAM, seed=1,
+                      batch_objective=batch_objective)
     print(f"evaluations: {result.budget_used}, best loss {result.best_loss:.3f} "
           "(mean per-series MAPE, percent)")
     print()

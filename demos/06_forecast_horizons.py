@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from seiard import FitWindow, SearchSpace, fit_loss, mape, minimize, simulate_observed
+from seiard import FitWindow, SearchSpace, fit_objective, mape, minimize, simulate_observed
 from seiard.defaults import DEFAULT_WINDOW, REPARAM_PINS, SEARCH_BOUNDS
 from seiard.dynamics import ModelParams
 from seiard.synthdata import NoiseSpec, default_config, generate
@@ -30,9 +30,9 @@ for seed in args.seeds:
     observed_total = dataset.observed.series("total")
     for name, pins in variants.items():
         space = SearchSpace(bounds=SEARCH_BOUNDS, pinned=pins)
-        result = minimize(
-            lambda p: fit_loss(dataset, ModelParams.from_dict(p), window),
-            space, budget=args.budget, seed=seed)
+        objective, batch_objective = fit_objective(dataset, window)
+        result = minimize(objective, space, budget=args.budget, seed=seed,
+                          batch_objective=batch_objective)
         params = ModelParams.from_dict(result.best_params)
         config = dataset.config
         predicted = simulate_observed(params, config.population_n,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import runconfig
 from .dynamics import DivergenceError, ModelParams, simulate_observed
-from .loss import FitWindow, fit_loss, mape
+from .loss import FitWindow, fit_objective, mape
 from .mcmc import gelman_rubin, pooled_param, run_chains
 from .optimize import NoFeasiblePointError, minimize
 from .posterior import correlation_matrix, hpdi, write_hpdi_json
@@ -49,12 +49,6 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _objective(dataset, space, window):
-    def objective(candidate: dict[str, float]) -> float:
-        return fit_loss(dataset, ModelParams.from_dict(candidate), window)
-    return objective
-
-
 def cmd_simulate(resolved: dict, out: Path) -> None:
     dataset = generate(runconfig.build_dataset_config(resolved))
     dataset.write(out / "dataset.csv", out / "dataset.json")
@@ -65,9 +59,10 @@ def cmd_fit(resolved: dict, out: Path) -> None:
     space = runconfig.build_space(resolved)
     window = runconfig.build_window(resolved)
     section = resolved["fit"]
-    result = minimize(_objective(dataset, space, window), space,
-                      budget=int(section["budget"]), seed=int(section["seed"]),
-                      method=section["method"])
+    objective, batch_objective = fit_objective(dataset, window)
+    result = minimize(objective, space, budget=int(section["budget"]),
+                      seed=int(section["seed"]), method=section["method"],
+                      batch_objective=batch_objective)
     result.write_trace_csv(out / "trace.csv")
     _write_json(out / "fit.json", {
         "variant": resolved["variant"],
@@ -233,9 +228,10 @@ def cmd_forecast_eval(resolved: dict, out: Path) -> None:
         for name, pins in variants.items():
             space = runconfig.build_space({**resolved, "variant": name,
                                            "pins": pins})
-            result = minimize(_objective(dataset, space, window), space,
-                              budget=int(section["budget"]), seed=seed,
-                              method=section["method"])
+            objective, batch_objective = fit_objective(dataset, window)
+            result = minimize(objective, space, budget=int(section["budget"]),
+                              seed=seed, method=section["method"],
+                              batch_objective=batch_objective)
             curve = _forecast_mape_curve(
                 dataset, ModelParams.from_dict(result.best_params), window,
                 horizons)

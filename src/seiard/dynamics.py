@@ -227,6 +227,15 @@ def _check_day(day: int, values: tuple) -> tuple:
     return tuple(out)
 
 
+def _steps_per_day(horizon: int, dt: float) -> int:
+    """Validate the solve arguments; dt snaps to a whole number of steps a day."""
+    if not isinstance(horizon, (int, np.integer)) or horizon <= 0:
+        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
+    if not (0.0 < dt <= 1.0):
+        raise ValueError(f"dt must satisfy 0 < dt <= 1, got {dt}")
+    return max(1, round(1.0 / dt))
+
+
 def integrate(params: ModelParams, init: State, horizon: int, dt: float = 0.1) -> Trajectory:
     """Integrate the model with classic fixed-step RK4, sampling integer days.
 
@@ -249,10 +258,7 @@ def integrate(params: ModelParams, init: State, horizon: int, dt: float = 0.1) -
         DivergenceError: NaN/overflow, or a compartment dropping below zero
             by more than the clamping tolerance.
     """
-    if not isinstance(horizon, (int, np.integer)) or horizon <= 0:
-        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
-    if not (0.0 < dt <= 1.0):
-        raise ValueError(f"dt must satisfy 0 < dt <= 1, got {dt}")
+    steps_per_day = _steps_per_day(horizon, dt)
     for name in COMPARTMENTS:
         if getattr(init, name) < 0:
             raise ParameterDomainError(f"init.{name} must be >= 0, got {getattr(init, name)}")
@@ -261,7 +267,6 @@ def integrate(params: ModelParams, init: State, horizon: int, dt: float = 0.1) -
     if population_n <= 0:
         raise ParameterDomainError("initial state has no population")
 
-    steps_per_day = max(1, round(1.0 / dt))
     h = 1.0 / steps_per_day
 
     beta_n = params.beta / population_n
@@ -352,6 +357,145 @@ def integrate(params: ModelParams, init: State, horizon: int, dt: float = 0.1) -
                       population_n=population_n)
 
 
+def integrate_batch(params, init: np.ndarray, horizon: int,
+                    dt: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate B parameter vectors at once with the RK4 of integrate.
+
+    Each column runs the floating-point operations of integrate in the same
+    order, so column b is bit-identical to
+    integrate(params[b], State.from_array(init[:, b]), horizon, dt).states.
+    The day check of _check_day applies per column: a dip inside
+    (-NEGATIVE_CLAMP, 0) is clamped to 0.0, and NaN, overflow or a larger dip
+    marks the column diverged where integrate would raise, leaving the other
+    columns untouched.
+
+    Args:
+        params: sequence of B ModelParams.
+        init: (7, B) day-0 states, rows in COMPARTMENTS order.
+        horizon: last day to report, as for integrate.
+        dt: nominal step in days, as for integrate.
+
+    Returns:
+        (states, diverged): states of shape (horizon + 1, 7, B), and the
+        (B,) mask of diverged columns.  A diverged column holds zeros from
+        the day it diverged on.
+    """
+    steps_per_day = _steps_per_day(horizon, dt)
+    init = np.asarray(init, dtype=float)
+    if init.shape != (len(COMPARTMENTS), len(params)):
+        raise ValueError(f"init must have shape (7, {len(params)}), got {init.shape}")
+    for name, row in zip(COMPARTMENTS, init):
+        if (row < 0).any():
+            raise ParameterDomainError(f"init.{name} must be >= 0, got {row.min()}")
+
+    s, e, i, ar, af, r, d = init
+    population_n = s + e + i + ar + af + r + d
+    if (population_n <= 0).any():
+        raise ParameterDomainError("initial state has no population")
+
+    h = 1.0 / steps_per_day
+    beta, t_inc, t_inf, t_recov, t_fatal, pf = np.array(
+        [(p.beta, p.t_inc, p.t_inf, p.t_recov, p.t_fatal, p.p_fatal)
+         for p in params], dtype=float).reshape(-1, 6).T
+    beta_n = beta / population_n
+    rates_eo = np.array([1.0 / t_inc, 1.0 / t_inf])    # sigma, gamma
+    rates_rd = np.array([1.0 / t_recov, 1.0 / t_fatal])
+    split = np.array([1.0 - pf, pf])
+    half = 0.5 * h
+    sixth = h / 6.0
+    n = init.shape[1]
+
+    # Stage k of integrate has the flows fk (infection), gk (incubation), ok
+    # (onset), uk (recovery), wk (death) and the slopes dek, dik, dak, dbk of
+    # e, i, a_recov and a_fatal.  Here stage k fills one (7, B) block with the
+    # rows (fk, dek, dik, dak, dbk, uk, wk): s loses the first row, e..d gain
+    # the others.  Every row is computed as integrate computes that value; the
+    # blocks only let one numpy call serve several compartments, which is
+    # what makes a batch of a few dozen columns cheaper than as many solves.
+    x = init.copy()
+    x_in = np.empty((5, n))          # stage input: s, e, i, a_recov, a_fatal
+    step_k = np.empty((5, n))
+    go = np.empty((2, n))            # gk, ok
+    split_o = np.empty((2, n))       # pr * ok, pf * ok
+    total = np.empty((7, n))
+    k1, k2, k3, k4 = (np.empty((7, n)) for _ in range(4))
+    mul, add, sub = np.multiply, np.add, np.subtract
+    # views are taken once: slicing inside the loop would cost about as
+    # much as the arithmetic at these batch sizes
+    g, o = go
+    x_s, x_e_to_af, x_e_to_d = x[0], x[1:5], x[1:]
+    in_s, in_e_to_af = x_in[0], x_in[1:]
+    step_f, step_slopes = step_k[0], step_k[1:]
+    total_f, total_slopes = total[0], total[1:]
+
+    def rows(v):
+        # s, i, (e, i), (a_recov, a_fatal) of a state block
+        return v[0], v[2], v[1:3], v[3:5]
+
+    def block(k):
+        # f, de, di, (da, db), (u, w), (f..db) of a stage block
+        return k[0], k[1], k[2], k[3:5], k[5:7], k[:5]
+
+    def slopes(source, k):
+        s_, i_, ei, ab = source
+        f, de, di, dadb, uw, _ = k
+        mul(beta_n, i_, out=f)
+        mul(f, s_, out=f)               # f = beta_n * i * s
+        mul(rates_eo, ei, out=go)       # g = sigma * e, o = gamma * i
+        mul(rates_rd, ab, out=uw)       # u = a_recov * inv_tr, w = a_fatal * inv_tf
+        sub(f, g, out=de)
+        sub(g, o, out=di)
+        mul(split, o, out=split_o)
+        sub(split_o, uw, out=dadb)      # da = pr * o - u, db = pf * o - w
+
+    def stage_input(step, k):
+        # s - step * f and (e, i, a_recov, a_fatal) + step * slope
+        f_to_db = k[5]
+        mul(step, f_to_db, out=step_k)
+        sub(x_s, step_f, out=in_s)
+        add(x_e_to_af, step_slopes, out=in_e_to_af)
+
+    x_rows, x_in_rows = rows(x), rows(x_in)
+    b1, b2, b3, b4 = block(k1), block(k2), block(k3), block(k4)
+    states = np.empty((horizon + 1, 7, n))
+    states[0] = init
+    diverged = np.zeros(n, dtype=bool)
+    inf = math.inf
+    substeps = range(steps_per_day)
+
+    # A column may overflow inside a day before the day check zeroes it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for day in range(1, horizon + 1):
+            for _ in substeps:
+                slopes(x_rows, b1)
+                stage_input(half, b1)
+                slopes(x_in_rows, b2)
+                stage_input(half, b2)
+                slopes(x_in_rows, b3)
+                stage_input(h, b3)
+                slopes(x_in_rows, b4)
+                # x + sixth * (k1 + 2 (k2 + k3) + k4), s by subtraction
+                add(k2, k3, out=total)
+                mul(2.0, total, out=total)
+                add(k1, total, out=total)
+                add(total, k4, out=total)
+                mul(sixth, total, out=total)
+                sub(x_s, total_f, out=x_s)
+                add(x_e_to_d, total_slopes, out=x_e_to_d)
+            row = states[day]
+            row[:] = x
+            ok = (row >= 0.0) & (row < inf)
+            if not ok.all():
+                # _check_day per column: clamp noise dips, zero what diverged
+                clamp = (row < 0.0) & (row > -NEGATIVE_CLAMP)
+                bad = ~(ok | clamp).all(axis=0)
+                row[clamp] = 0.0
+                row[:, bad] = 0.0
+                diverged |= bad
+                x[:] = row
+    return states, diverged
+
+
 def observe(trajectory: Trajectory) -> ObservedSeries:
     """Map a trajectory onto the reportable series.
 
@@ -413,6 +557,30 @@ def simulate_observed(params: ModelParams, population_n: float,
     """
     init = build_initial_state(params, population_n, init_observed, a0_fatal_fraction)
     return observe(integrate(params, init, horizon, dt))
+
+
+def simulate_observed_batch(params, population_n: float,
+                            init_observed: tuple[float, float, float],
+                            a0_fatal_fraction: float | None, horizon: int,
+                            dt: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
+    """simulate_observed for a sequence of B parameter vectors at once.
+
+    Returns (observed, diverged): observed has shape (B, 4, horizon + 1),
+    one row per OBSERVED_SERIES, and observed[b] is bit-identical to the
+    series simulate_observed gives for params[b]; diverged marks the
+    candidates for which simulate_observed raises DivergenceError.  Raises
+    what build_initial_state raises.
+    """
+    init = np.array([build_initial_state(p, population_n, init_observed,
+                                         a0_fatal_fraction).as_array()
+                     for p in params], dtype=float).reshape(-1, 7).T
+    states, diverged = integrate_batch(params, init, horizon, dt)
+    active = states[:, 3] + states[:, 4]
+    recovered = states[:, 5]
+    deceased = states[:, 6]
+    observed = np.stack([active, recovered, deceased,
+                         active + recovered + deceased])
+    return np.ascontiguousarray(observed.transpose(2, 0, 1)), diverged
 
 
 @dataclass(frozen=True)

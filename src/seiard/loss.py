@@ -8,7 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DivergenceError, ModelParams, simulate_observed
+from .dynamics import (
+    DivergenceError,
+    ModelParams,
+    ObservedSeries,
+    simulate_observed,
+    simulate_observed_batch,
+)
 from .synthdata import Dataset
 
 # Denominator guard: counts below one person are treated as one person so a
@@ -16,6 +22,14 @@ from .synthdata import Dataset
 EPSILON_PERSONS = 1.0
 
 LOSS_SERIES = ("active", "recovered", "deceased", "total")
+
+# fit_loss_batch solves fewer candidates than this one by one.  The batched
+# kernel costs about 12 ms per 28 days however few columns it has, a scalar
+# solve about 0.6 ms; the two break even near 20 candidates at 28 and at 112
+# days alike.
+BATCH_MIN = 20
+# Columns per batched solve, which bounds its (horizon + 1, 7, columns) array.
+BATCH_COLUMNS = 256
 
 
 @dataclass(frozen=True)
@@ -44,31 +58,116 @@ def mape(truth, predicted) -> float:
         raise ValueError(f"shape mismatch: {truth.shape} vs {predicted.shape}")
     if truth.size == 0:
         raise ValueError("mape needs at least one point")
-    denom = np.maximum(truth, EPSILON_PERSONS)
-    return float(100.0 * np.mean(np.abs(truth - predicted) / denom))
+    return float(_mape_rows(truth.ravel(), predicted.ravel()))
+
+
+def _mape_rows(truth: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """mape along the last axis of arrays that broadcast together.
+
+    Each row is summed along the contiguous last axis, as np.mean sums a 1-D
+    array, so a row's value is bit-equal to mape of that row alone.
+    """
+    errors = np.abs(truth - predicted) / np.maximum(truth, EPSILON_PERSONS)
+    return 100.0 * (np.add.reduce(np.ascontiguousarray(errors), axis=-1)
+                    / truth.shape[-1])
+
+
+def _check_window(dataset: Dataset, window: FitWindow) -> None:
+    if window.t_end > dataset.config.horizon:
+        raise ValueError(
+            f"window end {window.t_end} exceeds dataset horizon {dataset.config.horizon}")
+
+
+def _window_rows(observed: ObservedSeries, window: FitWindow) -> np.ndarray:
+    """The LOSS_SERIES of observed on the window's days, as a (4, n_days) array."""
+    lo = int(window.t_begin - observed.times[0])
+    hi = lo + window.n_days
+    return np.array([getattr(observed, name)[lo:hi] for name in LOSS_SERIES])
+
+
+def _mean_mape(reported: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """Mean over LOSS_SERIES of mape(reported row, predicted row).
+
+    reported has shape (4, n) and predicted (..., 4, n).  The four values are
+    added one at a time from the first, as np.mean adds four values, so the
+    result equals np.mean([mape(r, p) for r, p in zip(reported, predicted)])
+    bit for bit; a reduction along axis 0 would add them in another order.
+    """
+    first, second, third, fourth = _mape_rows(reported, predicted).T
+    return (first + second + third + fourth) / 4
 
 
 def fit_loss(dataset: Dataset, params: ModelParams, window: FitWindow,
-             dt: float = 0.1) -> float:
+             dt: float | None = None) -> float:
     """Average MAPE of the three reported series plus their total over the
     window, for a candidate parameter vector.
 
     Simulation always starts at day 0 with the dataset's observed initial
     counts and the candidate's e0/i0, so the window only selects which days
-    are scored.  Returns +inf when the candidate makes the solver diverge.
+    are scored.  dt defaults to the step the dataset was generated with.
+    Returns +inf when the candidate makes the solver diverge.
     """
-    if window.t_end > dataset.config.horizon:
-        raise ValueError(
-            f"window end {window.t_end} exceeds dataset horizon {dataset.config.horizon}")
+    _check_window(dataset, window)
     config = dataset.config
     try:
         simulated = simulate_observed(params, config.population_n,
                                       config.init_observed,
-                                      config.a0_fatal_fraction, window.t_end, dt)
+                                      config.a0_fatal_fraction, window.t_end,
+                                      config.dt if dt is None else dt)
     except DivergenceError:
         return math.inf
-    predicted = simulated.window(window.t_begin, window.t_end)
-    reported = dataset.observed.window(window.t_begin, window.t_end)
-    return float(np.mean([
-        mape(reported.series(name), predicted.series(name)) for name in LOSS_SERIES
-    ]))
+    return float(_mean_mape(_window_rows(dataset.observed, window),
+                            _window_rows(simulated, window)))
+
+
+def fit_loss_batch(dataset: Dataset, params, window: FitWindow,
+                   dt: float | None = None) -> np.ndarray:
+    """fit_loss for each of a sequence of parameter vectors, as an array.
+
+    Every entry is bit-equal to fit_loss for that vector, +inf where its
+    solve diverges.  From BATCH_MIN vectors on they are solved together by
+    simulate_observed_batch, BATCH_COLUMNS at a time; fewer are solved one
+    by one, which is faster.
+    """
+    params = list(params)
+    if len(params) < BATCH_MIN:
+        return np.array([fit_loss(dataset, p, window, dt) for p in params],
+                        dtype=float)
+    _check_window(dataset, window)
+    config = dataset.config
+    reported = _window_rows(dataset.observed, window)
+    losses = np.empty(len(params))
+    for start in range(0, len(params), BATCH_COLUMNS):
+        chunk = params[start:start + BATCH_COLUMNS]
+        observed, diverged = simulate_observed_batch(
+            chunk, config.population_n, config.init_observed,
+            config.a0_fatal_fraction, window.t_end,
+            config.dt if dt is None else dt)
+        values = _mean_mape(reported, observed[:, :, window.t_begin:])
+        values[diverged] = math.inf
+        losses[start:start + len(chunk)] = values
+    return losses
+
+
+def fit_objective(dataset: Dataset, window: FitWindow, loss_fn=None):
+    """The objective pair that optimize.minimize takes to fit the dataset
+    over the window: (objective, batch_objective).
+
+    objective maps a candidate {name: value} dict to fit_loss at those
+    parameters; batch_objective maps a list of such dicts to fit_loss_batch
+    over them.  A custom loss_fn(dataset, params, window) takes the place of
+    fit_loss and has no batch form, so batch_objective is then None.
+    """
+    loss = fit_loss if loss_fn is None else loss_fn
+
+    def objective(candidate: dict[str, float]) -> float:
+        return loss(dataset, ModelParams.from_dict(candidate), window)
+
+    if loss_fn is not None:
+        return objective, None
+
+    def batch_objective(candidates) -> np.ndarray:
+        return fit_loss_batch(dataset, [ModelParams.from_dict(c) for c in candidates],
+                              window)
+
+    return objective, batch_objective

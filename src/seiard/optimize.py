@@ -105,8 +105,10 @@ class OptResult:
 class _Recorder:
     """Evaluation bookkeeping shared by both methods."""
 
-    def __init__(self, objective, space: SearchSpace, budget: int):
+    def __init__(self, objective, space: SearchSpace, budget: int,
+                 batch_objective=None):
         self.objective = objective
+        self.batch_objective = batch_objective
         self.space = space
         self.budget = budget
         self.evaluations: list[tuple[dict, float]] = []
@@ -119,7 +121,21 @@ class _Recorder:
 
     def evaluate(self, free_values: np.ndarray) -> float:
         params = self.space.assemble(free_values)
-        value = float(self.objective(params))
+        return self._record(free_values, params, self.objective(params))
+
+    def evaluate_batch(self, points: list[np.ndarray]) -> None:
+        """Evaluate points in order, through the batch objective if any."""
+        if self.batch_objective is None:
+            for free_values in points:
+                self.evaluate(free_values)
+            return
+        params = [self.space.assemble(free_values) for free_values in points]
+        values = self.batch_objective(params)
+        for free_values, candidate, value in zip(points, params, values):
+            self._record(free_values, candidate, value)
+
+    def _record(self, free_values, params: dict, value) -> float:
+        value = float(value)
         if math.isnan(value):
             value = math.inf
         self.evaluations.append((params, value))
@@ -143,24 +159,25 @@ class _Recorder:
 
 def _truncated_normal_logpdf(x, centers, bandwidth, lo, hi):
     """Log-density of an equal-weight mixture of truncated Gaussians plus one
-    uniform component over [lo, hi].  x: (k,), centers: (m,)."""
-    x = np.atleast_1d(x)[:, None]
-    z = (x - centers[None, :]) / bandwidth
-    log_phi = -0.5 * z * z - 0.5 * math.log(2.0 * math.pi) - math.log(bandwidth)
-    mass = ndtr((hi - centers) / bandwidth) - ndtr((lo - centers) / bandwidth)
-    log_kernels = log_phi - np.log(np.maximum(mass, 1e-300))[None, :]
-    uniform = np.full((x.shape[0], 1), -math.log(hi - lo))
-    stacked = np.concatenate([log_kernels, uniform], axis=1)
-    peak = stacked.max(axis=1, keepdims=True)
-    return (peak[:, 0] + np.log(np.exp(stacked - peak).sum(axis=1))
-            - math.log(stacked.shape[1]))
+    uniform component over [lo, hi], for each of D dimensions at once.
 
-
-def _sample_truncated_normal(rng, center, bandwidth, lo, hi):
-    a = ndtr((lo - center) / bandwidth)
-    b = ndtr((hi - center) / bandwidth)
-    u = rng.uniform(a, b)
-    return float(np.clip(center + bandwidth * ndtri(u), lo, hi))
+    x: (D, k) points, centers: (D, m), bandwidth, lo, hi: (D,); returns
+    (D, k).  Scalar logarithms go through math.log, and every reduction runs
+    along the contiguous last axis, so each dimension's row is what the
+    computation for that dimension alone gives.
+    """
+    bw = bandwidth[:, None]
+    z = (x[:, :, None] - centers[:, None, :]) / bw[:, :, None]
+    log_bw = np.array([math.log(v) for v in bandwidth])[:, None, None]
+    log_phi = -0.5 * z * z - 0.5 * math.log(2.0 * math.pi) - log_bw
+    mass = ndtr((hi[:, None] - centers) / bw) - ndtr((lo[:, None] - centers) / bw)
+    log_kernels = log_phi - np.log(np.maximum(mass, 1e-300))[:, None, :]
+    log_uniform = np.array([-math.log(b - a) for a, b in zip(lo, hi)])
+    uniform = np.broadcast_to(log_uniform[:, None, None], x.shape + (1,))
+    stacked = np.concatenate([log_kernels, uniform], axis=2)
+    peak = stacked.max(axis=2, keepdims=True)
+    return (peak[:, :, 0] + np.log(np.exp(stacked - peak).sum(axis=2))
+            - math.log(stacked.shape[2]))
 
 
 def _tpe_propose(rng, recorder: _Recorder) -> np.ndarray:
@@ -178,28 +195,38 @@ def _tpe_propose(rng, recorder: _Recorder) -> np.ndarray:
         return _uniform_draw(rng, space)
 
     bounds = space.free_bounds()
-    candidates = np.empty((TPE_N_CANDIDATES, len(names)))
+    # Each candidate cell picks one of the good points' kernels or, for
+    # pick == len(good), the uniform component, then takes one uniform
+    # variate.  The draws stay scalar and dimension-major so the stream is
+    # what it always was; rng.uniform(a, b) is a + (b - a) * rng.random()
+    # bit for bit, so the rest runs on arrays.
+    shape = (len(names), TPE_N_CANDIDATES)
+    picks = np.empty(shape, dtype=int)
+    variates = np.empty(shape)
     for d in range(len(names)):
-        lo, hi = bounds[d]
-        width = hi - lo
-        bw_good = width / math.sqrt(len(good))
         for k in range(TPE_N_CANDIDATES):
-            pick = rng.integers(len(good) + 1)
-            if pick == len(good):
-                candidates[k, d] = rng.uniform(lo, hi)
-            else:
-                candidates[k, d] = _sample_truncated_normal(
-                    rng, good[pick, d], bw_good, lo, hi)
+            picks[d, k] = rng.integers(len(good) + 1)
+            variates[d, k] = rng.random()
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    bw_good = (hi - lo) / math.sqrt(len(good))
+    # (D, 1) columns broadcast against the (D, K) cells
+    lo_c, hi_c, bw_c = lo[:, None], hi[:, None], bw_good[:, None]
+    centers = np.take_along_axis(good.T, np.minimum(picks, len(good) - 1), axis=1)
+    # inverse-CDF draw from the kernel truncated to [lo, hi]
+    a = ndtr((lo_c - centers) / bw_c)
+    b = ndtr((hi_c - centers) / bw_c)
+    kernel = np.clip(centers + bw_c * ndtri(a + (b - a) * variates), lo_c, hi_c)
+    uniform = lo_c + (hi_c - lo_c) * variates
+    cells = np.where(picks == len(good), uniform, kernel)
 
+    log_good = _truncated_normal_logpdf(cells, good.T, bw_good, lo, hi)
+    log_bad = _truncated_normal_logpdf(
+        cells, bad.T, (hi - lo) / math.sqrt(len(bad)), lo, hi)
     score = np.zeros(TPE_N_CANDIDATES)
     for d in range(len(names)):
-        lo, hi = bounds[d]
-        width = hi - lo
-        score += _truncated_normal_logpdf(
-            candidates[:, d], good[:, d], width / math.sqrt(len(good)), lo, hi)
-        score -= _truncated_normal_logpdf(
-            candidates[:, d], bad[:, d], width / math.sqrt(len(bad)), lo, hi)
-    return candidates[int(np.argmax(score))]
+        score += log_good[d]
+        score -= log_bad[d]
+    return cells[:, int(np.argmax(score))]
 
 
 def _uniform_draw(rng, space: SearchSpace) -> np.ndarray:
@@ -255,20 +282,24 @@ def _run_random_nm(recorder: _Recorder, rng, init_points) -> None:
         except _BudgetExhausted:
             pass
 
-    for _ in range(min(recorder.budget - len(recorder.evaluations), batch)):
-        recorder.evaluate(_uniform_draw(rng, space))
+    def explore() -> None:
+        # the draws are independent of the losses, so the batch is drawn first
+        size = min(recorder.budget - len(recorder.evaluations), batch)
+        recorder.evaluate_batch([_uniform_draw(rng, space) for _ in range(size)])
+
+    explore()
     while not recorder.exhausted:
         candidates = [k for k, v in enumerate(recorder.losses)
                       if math.isfinite(v) and k not in polished]
         if candidates:
             polish(min(candidates, key=lambda k: recorder.losses[k]))
         else:
-            for _ in range(min(recorder.budget - len(recorder.evaluations), batch)):
-                recorder.evaluate(_uniform_draw(rng, space))
+            explore()
 
 
 def minimize(objective, space: SearchSpace, budget: int, seed: int = 0,
-             method: str = "random+nm", init_points=None) -> OptResult:
+             method: str = "random+nm", init_points=None,
+             batch_objective=None) -> OptResult:
     """Minimize a black-box objective over the search space.
 
     Args:
@@ -281,6 +312,11 @@ def minimize(objective, space: SearchSpace, budget: int, seed: int = 0,
             descents from the best unpolished points) or "tpe".
         init_points: optional warm-start free-parameter vectors evaluated
             first (clipped to the box, counted against the budget).
+        batch_objective: optional callable taking a list of candidate dicts
+            and returning one loss per candidate, each equal to what
+            objective returns for it.  random+nm evaluates its uniform
+            exploration batches through it; the result is the same with or
+            without it.
 
     Returns:
         OptResult with the best evaluation and the full trace.
@@ -294,7 +330,7 @@ def minimize(objective, space: SearchSpace, budget: int, seed: int = 0,
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     if not space.free_names:
         raise ValueError("search space has no free parameters")
-    recorder = _Recorder(objective, space, budget)
+    recorder = _Recorder(objective, space, budget, batch_objective)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     init_points = [np.asarray(p, dtype=float) for p in (init_points or [])]
     if method == "tpe":

@@ -15,8 +15,7 @@ import numpy as np
 from scipy.special import gammaincinv
 
 from . import defaults
-from .dynamics import ModelParams
-from .loss import FitWindow, fit_loss
+from .loss import FitWindow, fit_loss_batch, fit_objective
 from .optimize import NoFeasiblePointError, SearchSpace, minimize
 from .synthdata import Dataset
 
@@ -116,16 +115,12 @@ def _profile_point(dataset: Dataset, param_name: str, value: float,
                    space: SearchSpace, window: FitWindow, inner_budget: int,
                    seed: int, method: str, init_points,
                    loss_fn=None) -> tuple[float, dict, bool]:
-    pinned_space = space.pin(param_name, value)
-    if loss_fn is None:
-        loss_fn = fit_loss
-
-    def objective(candidate: dict[str, float]) -> float:
-        return loss_fn(dataset, ModelParams.from_dict(candidate), window)
-
+    objective, batch_objective = fit_objective(dataset, window, loss_fn)
     try:
-        result = minimize(objective, pinned_space, budget=inner_budget,
-                          seed=seed, method=method, init_points=init_points)
+        result = minimize(objective, space.pin(param_name, value),
+                          budget=inner_budget, seed=seed, method=method,
+                          init_points=init_points,
+                          batch_objective=batch_objective)
     except NoFeasiblePointError:
         return math.inf, {}, True
     complementary = {k: v for k, v in result.best_params.items() if k != param_name}
@@ -171,7 +166,8 @@ def profile_likelihood(dataset: Dataset, param_name: str, grid=None,
             warm-starting, a global fit is run first.
         n_jobs: process count for the independent-point mode.
         loss_fn: objective as (dataset, params, window) -> float; defaults to
-            the standard fit loss.  Must be picklable when n_jobs > 1.
+            the standard fit loss, whose exploration batches random+nm
+            solves together.  Must be picklable when n_jobs > 1.
 
     Returns:
         PlCurve over the grid.
@@ -209,13 +205,11 @@ def profile_likelihood(dataset: Dataset, param_name: str, grid=None,
         return PlCurve(param_name, grid, losses, tuple(argmins), failed)
 
     if center is None:
-        center_loss = fit_loss if loss_fn is None else loss_fn
-
-        def objective(candidate: dict[str, float]) -> float:
-            return center_loss(dataset, ModelParams.from_dict(candidate), window)
+        objective, batch_objective = fit_objective(dataset, window, loss_fn)
         # the global fit gets the seed slot one past the grid indices
         fit = minimize(objective, space, budget=inner_budget,
-                       seed=_point_seed(seed, grid.size), method=method)
+                       seed=_point_seed(seed, grid.size), method=method,
+                       batch_objective=batch_objective)
         center = fit.best_params
     start_index = int(np.argmin(np.abs(grid - center[param_name])))
 
@@ -358,7 +352,7 @@ def posterior_loss_threshold(dataset: Dataset, chains, window: FitWindow,
         rng = np.random.default_rng(seed)
         keep = sorted(rng.choice(len(draws), size=max_draws, replace=False))
         draws = [draws[k] for k in keep]
-    losses = np.array([fit_loss(dataset, params, window) for params, _, _ in draws])
+    losses = fit_loss_batch(dataset, [params for params, _, _ in draws], window)
     return loss_quantile(losses, alpha), losses
 
 

@@ -18,7 +18,7 @@ from scipy.stats import chi2, norm, spearmanr
 from seiard import defaults
 from seiard.cli import EXIT_OK, main
 from seiard.dynamics import ModelParams, build_initial_state, integrate, observe
-from seiard.loss import FitWindow, fit_loss, mape
+from seiard.loss import FitWindow, fit_loss, fit_objective, mape
 from seiard.mcmc import (
     McmcConfig,
     concentrated_neg_log_likelihood,
@@ -53,12 +53,6 @@ def check(num: int, ok: bool, detail: str) -> None:
 
 def space_for(pins) -> SearchSpace:
     return SearchSpace(dict(defaults.SEARCH_BOUNDS), pinned=dict(pins))
-
-
-def loss_objective(dataset, window):
-    def objective(candidate):
-        return fit_loss(dataset, ModelParams.from_dict(candidate), window)
-    return objective
 
 
 def interval_hull(interval):
@@ -158,9 +152,10 @@ def test_criterion_03_loss_at_truth(noiseless_dataset):
 
 def test_criterion_04_noiseless_recovery(noiseless_dataset):
     space = space_for(defaults.REPARAM_PINS)
-    objective = loss_objective(noiseless_dataset, W28)
+    objective, batch_objective = fit_objective(noiseless_dataset, W28)
     t0 = time.perf_counter()
-    fits = [minimize(objective, space, budget=500, seed=seed)
+    fits = [minimize(objective, space, budget=500, seed=seed,
+                     batch_objective=batch_objective)
             for seed in (1, 2, 3, 4, 5)]
     seconds = time.perf_counter() - t0
     beta = float(np.median([f.best_params["beta"] for f in fits]))
@@ -358,8 +353,9 @@ def test_criterion_12_forecast_error_dominance():
         observed_total = dataset.observed.series("total")
         for name, pins in (("reparam", defaults.REPARAM_PINS),
                            ("original", {})):
-            fit = minimize(loss_objective(dataset, W28), space_for(pins),
-                           budget=500, seed=seed)
+            objective, batch_objective = fit_objective(dataset, W28)
+            fit = minimize(objective, space_for(pins), budget=500, seed=seed,
+                           batch_objective=batch_objective)
             params = ModelParams.from_dict(fit.best_params)
             config = dataset.config
             init = build_initial_state(params, config.population_n,

@@ -20,8 +20,11 @@ from seiard.dynamics import (
     build_initial_state,
     derivative,
     integrate,
+    integrate_batch,
     lti_matrices,
     observe,
+    simulate_observed,
+    simulate_observed_batch,
 )
 
 TRUE = defaults.TRUE_PARAMS
@@ -312,6 +315,85 @@ class TestKernelBitIdentity:
         got = _outcome(lambda: integrate(params, init, 40, dt).states)
         want = _outcome(lambda: integrate_reference(params, init, 40, dt))
         assert got == want == ("diverged", message)
+
+
+def _column_init(params, population):
+    return build_initial_state(params, population, defaults.INIT_OBSERVED).as_array()
+
+
+def _assert_columns_match(cases, horizon, dt):
+    """Every column of one integrate_batch call against integrate: the same
+    bytes, or diverged where integrate raises, with the same bytes on every
+    day before the one the message names."""
+    params = [p for p, _ in cases]
+    init = np.column_stack([_column_init(p, n) for p, n in cases])
+    states, diverged = integrate_batch(params, init, horizon, dt)
+    assert states.shape == (horizon + 1, 7, len(cases))
+    for b, (p, n) in enumerate(cases):
+        column = np.ascontiguousarray(states[:, :, b])
+        outcome = _outcome(lambda: integrate(p, State.from_array(init[:, b]),
+                                             horizon, dt).states)
+        if outcome[0] == "states":
+            assert not diverged[b]
+            assert column.tobytes() == outcome[1]
+        else:
+            assert diverged[b]
+            day = int(outcome[1].rsplit(" ", 1)[1])
+            if day > 1:
+                before = integrate(p, State.from_array(init[:, b]), day - 1, dt)
+                assert column[:day].tobytes() == before.states.tobytes()
+            assert not column[day:].any()
+    return states, diverged
+
+
+class TestBatchKernel:
+    """integrate_batch reproduces integrate column by column, byte for byte."""
+
+    @given(params=st.lists(search_params, min_size=1, max_size=5),
+           dt=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+           horizon=st.integers(1, 120))
+    @settings(max_examples=60, deadline=None)
+    def test_columns_match_integrate(self, params, dt, horizon):
+        _assert_columns_match([(p, N) for p in params], horizon, dt)
+
+    @pytest.mark.parametrize("dt", [0.5, 1.0])
+    def test_mixed_batch_with_clamps_and_divergences(self, dt):
+        # each clamp or raise case fires at its own dt; at the other dt it is
+        # one more column that must still match
+        ordinary = [(TRUE, N), (TRUE.replace(beta=0.6, i0=2.0), N),
+                    (TRUE.replace(beta=0.0), 1000.0)]
+        clamps = [(p, n) for p, n, *_ in CLAMP_CASES]
+        raises = [(p, n) for p, n, *_ in RAISE_CASES]
+        mixed = [ordinary[0], *clamps, ordinary[1], *raises, ordinary[2]]
+        states, diverged = _assert_columns_match(mixed, 40, dt)
+        assert not diverged[[0, 4, 7]].any()
+        for b, (_, _, case_dt, clamp_day, _, message) in zip((1, 2, 3), CLAMP_CASES):
+            if case_dt == dt:
+                assert diverged[b] == (message is not None)
+                assert states[clamp_day, :, b].min() == 0.0
+        for b, (_, _, case_dt, _) in zip((5, 6), RAISE_CASES):
+            if case_dt == dt:
+                assert diverged[b]
+
+    def test_simulate_observed_batch_matches_simulate_observed(self):
+        params = [TRUE, TRUE.replace(beta=0.4, p_fatal=0.1), TRUE.replace(beta=1e300)]
+        observed, diverged = simulate_observed_batch(
+            params, N, defaults.INIT_OBSERVED, None, 30, 0.25)
+        assert observed.shape == (3, 4, 31)
+        assert diverged.tolist() == [False, False, True]
+        for b in range(2):
+            series = simulate_observed(params[b], N, defaults.INIT_OBSERVED, None, 30, 0.25)
+            want = np.array([series.active, series.recovered, series.deceased, series.total])
+            assert observed[b].tobytes() == want.tobytes()
+
+    def test_rejects_bad_input(self):
+        init = default_init().as_array()[:, None]
+        with pytest.raises(ValueError):
+            integrate_batch([TRUE, TRUE], init, 10)
+        with pytest.raises(ValueError):
+            integrate_batch([TRUE], init, 0)
+        with pytest.raises(ParameterDomainError):
+            integrate_batch([TRUE], -init, 10)
 
 
 class TestLti:

@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import seiard.loss as loss_module
 from seiard import defaults
-from seiard.dynamics import DivergenceError
-from seiard.loss import EPSILON_PERSONS, FitWindow, fit_loss, mape
+from seiard.dynamics import DivergenceError, ModelParams, simulate_observed
+from seiard.loss import (
+    EPSILON_PERSONS,
+    LOSS_SERIES,
+    FitWindow,
+    fit_loss,
+    fit_loss_batch,
+    fit_objective,
+    mape,
+)
 from seiard.synthdata import NoiseSpec, default_config, generate
 
 TRUE = defaults.TRUE_PARAMS
@@ -40,6 +49,13 @@ class TestMape:
 
     def test_symmetric_in_error_sign(self):
         assert mape([10.0], [12.0]) == mape([10.0], [8.0])
+
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (8,), (29,), (113,), (3, 5)])
+    def test_equals_np_mean_formula(self, shape):
+        rng = np.random.default_rng(len(shape) + sum(shape))
+        for _ in range(20):
+            truth, predicted = rng.lognormal(2.0, 3.0, (2,) + shape)
+            assert mape(truth, predicted) == reference_mape(truth, predicted)
 
 
 class TestFitWindow:
@@ -89,3 +105,92 @@ class TestFitLoss:
         # e0/i0 enter through the day-0 state; changing them must move the loss
         window = FitWindow(0, 28)
         assert fit_loss(dataset, TRUE.replace(e0=3.0), window) > 0.0
+
+    def test_integrates_at_the_dataset_step(self):
+        # a noiseless dataset made with dt=0.5 is matched exactly at the truth
+        coarse = generate(default_config(horizon=60, dt=0.5))
+        window = FitWindow(0, 28)
+        assert fit_loss(coarse, TRUE, window) == 0.0
+        assert fit_loss_batch(coarse, [TRUE] * 25, window).tolist() == [0.0] * 25
+        assert fit_loss(coarse, TRUE, window, dt=0.1) > 0.0
+
+
+def _random_params(rng, n):
+    return [ModelParams(**{name: float(rng.uniform(lo, hi))
+                           for name, (lo, hi) in defaults.SEARCH_BOUNDS.items()})
+            for _ in range(n)]
+
+
+def reference_mape(truth, predicted):
+    return float(100.0 * np.mean(np.abs(truth - predicted)
+                                 / np.maximum(truth, EPSILON_PERSONS)))
+
+
+def reference_fit_loss(dataset, params, window):
+    """fit_loss as four windowed np.mean MAPEs and np.mean over them."""
+    config = dataset.config
+    try:
+        simulated = simulate_observed(params, config.population_n,
+                                      config.init_observed,
+                                      config.a0_fatal_fraction, window.t_end,
+                                      config.dt)
+    except DivergenceError:
+        return math.inf
+    predicted = simulated.window(window.t_begin, window.t_end)
+    reported = dataset.observed.window(window.t_begin, window.t_end)
+    return float(np.mean([reference_mape(reported.series(name), predicted.series(name))
+                          for name in LOSS_SERIES]))
+
+
+class TestFitLossBatch:
+    @pytest.fixture(scope="class")
+    def noisy(self):
+        return generate(default_config(horizon=120, noise=NoiseSpec(0.2), seed=5))
+
+    @pytest.mark.parametrize("window", [FitWindow(0, 1), FitWindow(0, 28),
+                                        FitWindow(3, 11), FitWindow(10, 120)])
+    def test_equals_scalar_and_reference(self, noisy, window, monkeypatch):
+        # three chunks, with diverging candidates among the finite ones
+        monkeypatch.setattr(loss_module, "BATCH_COLUMNS", 24)
+        params = _random_params(np.random.default_rng(window.t_end), 60)
+        params[5] = params[40] = TRUE.replace(beta=1e300)
+        got = fit_loss_batch(noisy, params, window)
+        want = [fit_loss(noisy, p, window) for p in params]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert want == [reference_fit_loss(noisy, p, window) for p in params]
+        assert np.isinf(got).tolist() == [k in (5, 40) for k in range(60)]
+
+    def test_small_batches_take_the_scalar_path(self, noisy, monkeypatch):
+        calls = []
+        monkeypatch.setattr(loss_module, "fit_loss",
+                            lambda *args: calls.append(args) or 1.5)
+        params = [TRUE] * (loss_module.BATCH_MIN - 1)
+        assert fit_loss_batch(noisy, params, FitWindow(0, 28)).tolist() == [1.5] * len(params)
+        assert len(calls) == len(params)
+        assert fit_loss_batch(noisy, [], FitWindow(0, 28)).shape == (0,)
+
+    def test_window_must_fit_dataset(self, noisy):
+        with pytest.raises(ValueError):
+            fit_loss_batch(noisy, [TRUE] * 30, FitWindow(0, 121))
+
+
+class TestFitObjective:
+    def test_pair_agrees_with_fit_loss(self, dataset):
+        window = FitWindow(0, 28)
+        objective, batch_objective = fit_objective(dataset, window)
+        candidates = [p.as_dict() for p in _random_params(np.random.default_rng(2), 30)]
+        want = [fit_loss(dataset, ModelParams.from_dict(c), window) for c in candidates]
+        assert [objective(c) for c in candidates] == want
+        assert batch_objective(candidates).tolist() == want
+
+    def test_custom_loss_has_no_batch_form(self, dataset):
+        seen = []
+
+        def custom(data, params, window):
+            seen.append((data, params, window))
+            return 2.0
+
+        objective, batch_objective = fit_objective(dataset, FitWindow(0, 5), custom)
+        assert batch_objective is None
+        assert objective(TRUE.as_dict()) == 2.0
+        assert seen == [(dataset, TRUE, FitWindow(0, 5))]

@@ -3,14 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
+import seiard.optimize as optimize_module
+from seiard import defaults
+from seiard.loss import FitWindow, fit_objective
 from seiard.optimize import (
     METHODS,
+    TPE_GAMMA,
+    TPE_N_CANDIDATES,
     NoFeasiblePointError,
     OptResult,
     SearchSpace,
     minimize,
 )
+from seiard.synthdata import NoiseSpec, default_config, generate
 
 
 def quadratic_1d(p):
@@ -161,3 +168,120 @@ class TestResultContract:
         assert len(rows) == 11
         losses = [float(r[1]) for r in rows[1:]]
         assert min(losses) == res.best_loss
+
+
+class TestBatchObjective:
+    """random+nm gives the same trace with or without a batch objective."""
+
+    @pytest.fixture(scope="class")
+    def objectives(self):
+        dataset = generate(default_config(horizon=40, noise=NoiseSpec(0.05), seed=8))
+        return fit_objective(dataset, FitWindow(0, 28))
+
+    @staticmethod
+    def _both(objective, batch_objective, space, **kwargs):
+        batches = []
+
+        def counted(candidates):
+            batches.append(len(candidates))
+            return batch_objective(candidates)
+
+        scalar = minimize(objective, space, **kwargs)
+        batched = minimize(objective, space, batch_objective=counted, **kwargs)
+        assert batched.evaluations == scalar.evaluations
+        assert batched.best_loss == scalar.best_loss
+        return batches
+
+    def test_fit_with_warm_start(self, objectives):
+        space = SearchSpace(dict(defaults.SEARCH_BOUNDS), pinned=dict(defaults.REPARAM_PINS))
+        warm = space.extract_free(defaults.TRUE_PARAMS.as_dict())
+        batches = self._both(*objectives, space, budget=150, seed=3,
+                             init_points=[warm, warm * 1.1])
+        # five free parameters: one exploration batch of 10 * 5 + 10
+        assert batches == [60]
+
+    def test_budget_below_batch_size(self, objectives):
+        space = SearchSpace(dict(defaults.SEARCH_BOUNDS))
+        batches = self._both(*objectives, space, budget=37, seed=4,
+                             init_points=[space.extract_free(defaults.TRUE_PARAMS.as_dict())])
+        assert batches == [36]
+
+    def test_restart_batches(self):
+        # feasible only near x = 1: the first batches find nothing to polish,
+        # so random+nm draws further batches
+        space = SearchSpace(bounds={"x": (0.0, 1.0), "y": (0.0, 1.0)})
+
+        def objective(p):
+            return (p["x"] - 1.0) ** 2 + p["y"] if p["x"] > 0.97 else math.inf
+
+        batches = self._both(objective, lambda cs: [objective(c) for c in cs],
+                             space, budget=200, seed=1)
+        assert len(batches) >= 2 and batches[0] == 30
+
+
+def _reference_logpdf(x, centers, bandwidth, lo, hi):
+    x = np.atleast_1d(x)[:, None]
+    z = (x - centers[None, :]) / bandwidth
+    log_phi = -0.5 * z * z - 0.5 * math.log(2.0 * math.pi) - math.log(bandwidth)
+    mass = ndtr((hi - centers) / bandwidth) - ndtr((lo - centers) / bandwidth)
+    log_kernels = log_phi - np.log(np.maximum(mass, 1e-300))[None, :]
+    uniform = np.full((x.shape[0], 1), -math.log(hi - lo))
+    stacked = np.concatenate([log_kernels, uniform], axis=1)
+    peak = stacked.max(axis=1, keepdims=True)
+    return (peak[:, 0] + np.log(np.exp(stacked - peak).sum(axis=1))
+            - math.log(stacked.shape[1]))
+
+
+def _reference_tpe_propose(rng, recorder):
+    """The cell-by-cell TPE proposal that _tpe_propose vectorises."""
+    space = recorder.space
+    observed = [(p, l) for p, l in zip(recorder.free_points, recorder.losses)
+                if math.isfinite(l)]
+    if len(observed) < 2:
+        return optimize_module._uniform_draw(rng, space)
+    order = sorted(range(len(observed)), key=lambda k: observed[k][1])
+    n_good = math.ceil(TPE_GAMMA * len(observed))
+    good = np.array([observed[k][0] for k in order[:n_good]])
+    bad = np.array([observed[k][0] for k in order[n_good:]])
+    if len(bad) == 0:
+        return optimize_module._uniform_draw(rng, space)
+    bounds = space.free_bounds()
+    dims = len(space.free_names)
+    candidates = np.empty((TPE_N_CANDIDATES, dims))
+    for d in range(dims):
+        lo, hi = bounds[d]
+        bw = (hi - lo) / math.sqrt(len(good))
+        for k in range(TPE_N_CANDIDATES):
+            pick = rng.integers(len(good) + 1)
+            if pick == len(good):
+                candidates[k, d] = rng.uniform(lo, hi)
+            else:
+                a = ndtr((lo - good[pick, d]) / bw)
+                b = ndtr((hi - good[pick, d]) / bw)
+                candidates[k, d] = float(np.clip(
+                    good[pick, d] + bw * ndtri(rng.uniform(a, b)), lo, hi))
+    score = np.zeros(TPE_N_CANDIDATES)
+    for d in range(dims):
+        lo, hi = bounds[d]
+        score += _reference_logpdf(candidates[:, d], good[:, d],
+                                   (hi - lo) / math.sqrt(len(good)), lo, hi)
+        score -= _reference_logpdf(candidates[:, d], bad[:, d],
+                                   (hi - lo) / math.sqrt(len(bad)), lo, hi)
+    return candidates[int(np.argmax(score))]
+
+
+class TestTpeProposal:
+    @pytest.mark.parametrize("pins", [{}, defaults.REPARAM_PINS])
+    def test_matches_cell_by_cell_reference(self, pins, monkeypatch):
+        space = SearchSpace(dict(defaults.SEARCH_BOUNDS), pinned=dict(pins))
+        centre = space.extract_free(defaults.TRUE_PARAMS.as_dict())
+        widths = np.diff(space.free_bounds(), axis=1)[:, 0]
+
+        def objective(p):
+            x = space.extract_free(p)
+            return float(np.sum(((x - centre) / widths) ** 2))
+
+        fast = minimize(objective, space, budget=90, seed=2, method="tpe")
+        monkeypatch.setattr(optimize_module, "_tpe_propose", _reference_tpe_propose)
+        slow = minimize(objective, space, budget=90, seed=2, method="tpe")
+        assert fast.evaluations == slow.evaluations

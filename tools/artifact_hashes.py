@@ -1,12 +1,14 @@
 """Print the sha256 of every artifact of the six seiard subcommands.
 
     python3 tools/artifact_hashes.py [--src DIR] > hashes.txt
+    python3 tools/artifact_hashes.py --expect hashes.txt
 
 Each run below starts `python -m seiard.cli` with DIR (default: this
 checkout's src/) first on PYTHONPATH, inside a fresh temporary directory and
 with the same relative `--out`, so the `out_dir` recorded in manifest.json is
-the same from one checkout to the next.  Run it on two checkouts and diff the
-outputs to see whether a change kept the artifacts byte for byte.
+the same from one checkout to the next.  Run it on one checkout to write the
+hashes, then on another with --expect to compare: it lists on stderr every
+artifact whose hash differs, is missing or is new, and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ SMALL_MCMC = ("--set", "mcmc.n_samples=600", "--set", "mcmc.n_burn=100",
 RUNS = (
     ("simulate", ("simulate", *NOISY)),
     ("fit", ("fit", *NOISY, "--set", "fit.budget=150")),
+    ("fit-112d", ("fit", *NOISY, "--set", "window=[0,112]",
+                  "--set", "fit.budget=120")),
     ("fit-original-tpe", ("fit", *NOISY, "--set", "variant=original",
                           "--set", "fit.method=tpe", "--set", "fit.budget=80")),
     ("profile-chi2", ("profile", *NOISY, *SMALL_PROFILE,
@@ -67,15 +71,43 @@ def run(src: Path, label: str, argv: tuple[str, ...]) -> list[str]:
                 for path in sorted(out.iterdir())]
 
 
-def main() -> None:
+def differences(expected: list[str], got: list[str]) -> list[str]:
+    """One line per artifact whose `name hash` line is not in both lists."""
+    want = dict(line.split() for line in expected if line.strip())
+    have = dict(line.split() for line in got)
+    report = []
+    for name in sorted(want.keys() | have.keys()):
+        if name not in have:
+            report.append(f"{name}: missing")
+        elif name not in want:
+            report.append(f"{name}: new")
+        elif want[name] != have[name]:
+            report.append(f"{name}: differs")
+    return report
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=SRC,
                         help="directory holding the seiard package")
+    parser.add_argument("--expect", type=Path,
+                        help="hashes printed by an earlier run to compare with")
     args = parser.parse_args()
+    got = []
     for label, argv in RUNS:
         for line in run(args.src.resolve(), label, argv):
             print(line, flush=True)
+            got.append(line)
+    if args.expect is None:
+        return 0
+    differing = differences(args.expect.read_text().splitlines(), got)
+    for entry in differing:
+        print(entry, file=sys.stderr)
+    if differing:
+        return 1
+    print(f"all {len(got)} artifacts as expected", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
