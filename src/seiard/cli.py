@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import runconfig
+from .artifacts import write_json
 from .dynamics import DivergenceError, ModelParams, simulate_observed
 from .loss import FitWindow, fit_objective, mape
 from .mcmc import gelman_rubin, pooled_param, run_chains
@@ -43,12 +44,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_simulate(resolved: dict, out: Path) -> None:
     dataset = generate(runconfig.build_dataset_config(resolved))
     dataset.write(out / "dataset.csv", out / "dataset.json")
@@ -64,7 +59,7 @@ def cmd_fit(resolved: dict, out: Path) -> None:
                       seed=int(section["seed"]), method=section["method"],
                       batch_objective=batch_objective)
     result.write_trace_csv(out / "trace.csv")
-    _write_json(out / "fit.json", {
+    write_json(out / "fit.json", {
         "variant": resolved["variant"],
         "window": list(resolved["window"]),
         "method": section["method"],
@@ -128,9 +123,9 @@ def cmd_profile(resolved: dict, out: Path) -> None:
                           warm_start=warm_start)
             widths[str(duration)] = interval.width
         if sweeping:
-            _write_json(out / f"pl_{param}_widths.json",
-                        {"param": param, "width_by_window": widths,
-                         "warm_start": warm_start})
+            write_json(out / f"pl_{param}_widths.json",
+                       {"param": param, "width_by_window": widths,
+                        "warm_start": warm_start})
 
 
 def cmd_mcmc(resolved: dict, out: Path) -> None:
@@ -155,7 +150,7 @@ def cmd_mcmc(resolved: dict, out: Path) -> None:
             "hpdi": intervals[name].to_dict(),
             "rhat": rhat.get(name),
         }
-    _write_json(out / "posterior.json", {
+    write_json(out / "posterior.json", {
         "variant": resolved["variant"],
         "window": list(resolved["window"]),
         "n_chains": len(chains),
@@ -186,11 +181,11 @@ def cmd_report(resolved: dict, out: Path) -> None:
         population_n=dataset_config.population_n,
         init_observed=dataset_config.init_observed,
         a0_fatal_fraction=dataset_config.a0_fatal_fraction,
-        dt=dataset_config.dt, n_jobs=int(resolved["threads"]))
+        dt=dataset_config.dt)
     payload = report.to_dict()
     payload["classification"] = structural_verdict(report)
     payload["variant"] = resolved["variant"]
-    _write_json(out / "sensitivity.json", payload)
+    write_json(out / "sensitivity.json", payload)
 
 
 def _forecast_mape_curve(dataset, params: ModelParams, window: FitWindow,
@@ -251,7 +246,7 @@ def cmd_forecast_eval(resolved: dict, out: Path) -> None:
         for h in horizons:
             fh.write(f"{h},{medians['reparam'][str(h)]!r},"
                      f"{medians['original'][str(h)]!r}\n")
-    _write_json(out / "forecast.json", {
+    write_json(out / "forecast.json", {
         "window": list(resolved["window"]),
         "horizons": horizons,
         "seeds": seeds,
@@ -287,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", metavar="DIR", default=None,
                          help="output directory (overrides out_dir)")
         sub.add_argument("--threads", type=int, default=None,
-                         help="worker cap for parallel grid/column jobs")
+                         help="worker processes for profile grids (profile only)")
     return parser
 
 
@@ -298,8 +293,6 @@ def _prepare(args) -> tuple[dict, Path]:
     if args.out is not None:
         config["out_dir"] = args.out
     if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         config["threads"] = args.threads
     runconfig.validate(config)
     resolved = runconfig.resolve_config(config)
@@ -313,8 +306,8 @@ def main(argv=None) -> int:
     try:
         resolved, out = _prepare(args)
         COMMANDS[args.command](resolved, out)
-        _write_json(out / "manifest.json",
-                    runconfig.manifest_payload(args.command, resolved))
+        write_json(out / "manifest.json",
+                   runconfig.manifest_payload(args.command, resolved))
     except (DivergenceError, NoFeasiblePointError) as error:
         print(f"seiard {args.command}: numeric failure: {error}",
               file=sys.stderr)

@@ -1,5 +1,5 @@
-"""SEIARD compartmental model: parameters, state space, ODE right-hand side,
-fixed-step RK4 integration, and the observation map.
+"""SEIARD compartmental model: parameters, fixed-step RK4 integration of
+its ODEs, and the observation map.
 
 Compartments: Susceptible, Exposed, Infectious, Active-recovering,
 Active-fatal, Recovered, Deceased.  Only three case series are reportable:
@@ -9,11 +9,12 @@ observed directly.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .artifacts import write_csv
 
 COMPARTMENTS = ("s", "e", "i", "a_recov", "a_fatal", "r", "d")
 PARAM_NAMES = ("beta", "t_inc", "t_inf", "t_recov", "t_fatal", "p_fatal", "e0", "i0")
@@ -85,31 +86,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class State:
-    """Compartment occupancies (persons) at one instant."""
-
-    s: float
-    e: float
-    i: float
-    a_recov: float
-    a_fatal: float
-    r: float
-    d: float
-
-    @property
-    def total(self) -> float:
-        return self.s + self.e + self.i + self.a_recov + self.a_fatal + self.r + self.d
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.s, self.e, self.i, self.a_recov, self.a_fatal, self.r, self.d])
-
-    @classmethod
-    def from_array(cls, values) -> "State":
-        s, e, i, a_recov, a_fatal, r, d = (float(v) for v in values)
-        return cls(s, e, i, a_recov, a_fatal, r, d)
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Integrator output sampled at integer days.
 
@@ -118,20 +94,9 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    population_n: float
-
-    def state_at(self, index: int) -> State:
-        return State.from_array(self.states[index])
 
     def compartment(self, name: str) -> np.ndarray:
         return self.states[:, COMPARTMENTS.index(name)]
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "S", "E", "I", "A_recov", "A_fatal", "R", "D"])
-            for t, row in zip(self.times, self.states):
-                writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
 
 
 @dataclass(frozen=True)
@@ -167,49 +132,9 @@ class ObservedSeries:
         )
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "active", "recovered", "deceased", "total"])
-            for k in range(len(self.times)):
-                writer.writerow(
-                    [repr(float(self.times[k]))]
-                    + [
-                        repr(float(getattr(self, name)[k]))
-                        for name in ("active", "recovered", "deceased", "total")
-                    ]
-                )
-
-    @classmethod
-    def read_csv(cls, path) -> "ObservedSeries":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != ["t", "active", "recovered", "deceased", "total"]:
-                raise ValueError(f"unexpected header {header}")
-            rows = [[float(v) for v in row] for row in reader]
-        cols = np.array(rows).T
-        return cls(times=cols[0], active=cols[1], recovered=cols[2],
-                   deceased=cols[3], total=cols[4])
-
-
-def derivative(state: State, params: ModelParams, population_n: float) -> State:
-    """Instantaneous flow rates (persons/day) for each compartment."""
-    if population_n <= 0:
-        raise ParameterDomainError(f"population_n must be > 0, got {population_n}")
-    infection = params.beta * state.i * state.s / population_n
-    incubation = params.sigma * state.e
-    case_onset = params.gamma * state.i
-    recovery = state.a_recov / params.t_recov
-    death = state.a_fatal / params.t_fatal
-    return State(
-        s=-infection,
-        e=infection - incubation,
-        i=incubation - case_onset,
-        a_recov=(1.0 - params.p_fatal) * case_onset - recovery,
-        a_fatal=params.p_fatal * case_onset - death,
-        r=recovery,
-        d=death,
-    )
+        write_csv(path, ["t", *OBSERVED_SERIES],
+                  zip(self.times, self.active, self.recovered, self.deceased,
+                      self.total))
 
 
 def _check_day(day: int, values: tuple) -> tuple:
@@ -236,7 +161,21 @@ def _steps_per_day(horizon: int, dt: float) -> int:
     return max(1, round(1.0 / dt))
 
 
-def integrate(params: ModelParams, init: State, horizon: int, dt: float = 0.1) -> Trajectory:
+def _population(init: np.ndarray):
+    """Check a (7,) or (7, B) day-0 state and return its total(s), summed in
+    COMPARTMENTS order."""
+    if (init < 0).any():
+        for name, row in zip(COMPARTMENTS, init):
+            if (row < 0).any():
+                raise ParameterDomainError(f"init.{name} must be >= 0, got {row.min()}")
+    s, e, i, ar, af, r, d = init
+    population_n = s + e + i + ar + af + r + d
+    if (population_n <= 0).any():
+        raise ParameterDomainError("initial state has no population")
+    return population_n
+
+
+def integrate(params: ModelParams, init: np.ndarray, horizon: int, dt: float = 0.1) -> Trajectory:
     """Integrate the model with classic fixed-step RK4, sampling integer days.
 
     The output is bit-stable: every floating-point operation runs in a fixed
@@ -246,7 +185,8 @@ def integrate(params: ModelParams, init: State, horizon: int, dt: float = 0.1) -
 
     Args:
         params: model parameters.
-        init: day-0 state; the conserved population size is its total.
+        init: (7,) day-0 state in COMPARTMENTS order; the conserved
+            population size is its total.
         horizon: last day to report (trajectory covers days 0..horizon).
         dt: nominal step in days, 0 < dt <= 1; snapped to an integer number
             of substeps per day so day boundaries are hit exactly.
@@ -259,14 +199,10 @@ def integrate(params: ModelParams, init: State, horizon: int, dt: float = 0.1) -
             by more than the clamping tolerance.
     """
     steps_per_day = _steps_per_day(horizon, dt)
-    for name in COMPARTMENTS:
-        if getattr(init, name) < 0:
-            raise ParameterDomainError(f"init.{name} must be >= 0, got {getattr(init, name)}")
-
-    population_n = init.total
-    if population_n <= 0:
-        raise ParameterDomainError("initial state has no population")
-
+    init = np.asarray(init, dtype=float)
+    # Python floats: the loop below is several times slower on numpy scalars
+    population_n = float(_population(init))
+    s, e, i, ar, af, r, d = init.tolist()
     h = 1.0 / steps_per_day
 
     beta_n = params.beta / population_n
@@ -281,13 +217,12 @@ def integrate(params: ModelParams, init: State, horizon: int, dt: float = 0.1) -
     sixth = h / 6.0
     inf = math.inf
 
-    s, e, i, ar, af, r, d = (init.s, init.e, init.i, init.a_recov, init.a_fatal,
-                             init.r, init.d)
     rows = [(s, e, i, ar, af, r, d)]
     substeps = range(steps_per_day)
 
     # Straight-line RK4 that keeps every floating-point operation of the
-    # closure-based form (one derivative call per stage) in the same order.  Stage k has flows fk (infection), gk (incubation), ok (onset),
+    # reference form (one call of the right-hand side per stage) in the same
+    # order.  Stage k has flows fk (infection), gk (incubation), ok (onset),
     # uk (recovery) and wk (death), and slopes dek, dik, dak, dbk for e, i,
     # a_recov and a_fatal.  The slope of s is -fk, so s moves by subtraction
     # (x - y equals x + (-y) exactly).  r and d feed no flow, so their stage
@@ -353,8 +288,7 @@ def integrate(params: ModelParams, init: State, horizon: int, dt: float = 0.1) -
         rows.append((s, e, i, ar, af, r, d))
 
     return Trajectory(times=np.arange(horizon + 1, dtype=float),
-                      states=np.array(rows, dtype=float),
-                      population_n=population_n)
+                      states=np.array(rows, dtype=float))
 
 
 def integrate_batch(params, init: np.ndarray, horizon: int,
@@ -363,7 +297,7 @@ def integrate_batch(params, init: np.ndarray, horizon: int,
 
     Each column runs the floating-point operations of integrate in the same
     order, so column b is bit-identical to
-    integrate(params[b], State.from_array(init[:, b]), horizon, dt).states.
+    integrate(params[b], init[:, b], horizon, dt).states.
     The day check of _check_day applies per column: a dip inside
     (-NEGATIVE_CLAMP, 0) is clamped to 0.0, and NaN, overflow or a larger dip
     marks the column diverged where integrate would raise, leaving the other
@@ -384,14 +318,7 @@ def integrate_batch(params, init: np.ndarray, horizon: int,
     init = np.asarray(init, dtype=float)
     if init.shape != (len(COMPARTMENTS), len(params)):
         raise ValueError(f"init must have shape (7, {len(params)}), got {init.shape}")
-    for name, row in zip(COMPARTMENTS, init):
-        if (row < 0).any():
-            raise ParameterDomainError(f"init.{name} must be >= 0, got {row.min()}")
-
-    s, e, i, ar, af, r, d = init
-    population_n = s + e + i + ar + af + r + d
-    if (population_n <= 0).any():
-        raise ParameterDomainError("initial state has no population")
+    population_n = _population(init)
 
     h = 1.0 / steps_per_day
     beta, t_inc, t_inf, t_recov, t_fatal, pf = np.array(
@@ -516,8 +443,9 @@ def observe(trajectory: Trajectory) -> ObservedSeries:
 
 def build_initial_state(params: ModelParams, population_n: float,
                         init_observed: tuple[float, float, float],
-                        a0_fatal_fraction: float | None = None) -> State:
-    """Assemble the day-0 state from observed initial counts plus e0/i0.
+                        a0_fatal_fraction: float | None = None) -> np.ndarray:
+    """Assemble the (7,) day-0 state, in COMPARTMENTS order, from observed
+    initial counts plus e0/i0.
 
     init_observed is (active0, recovered0, deceased0).  The initial active
     count is split between the recovering and fatal branches by p_fatal
@@ -534,15 +462,8 @@ def build_initial_state(params: ModelParams, population_n: float,
     if s0 < 0:
         raise ParameterDomainError(
             f"initial compartments exceed population_n={population_n}")
-    return State(
-        s=s0,
-        e=params.e0,
-        i=params.i0,
-        a_recov=(1.0 - fraction) * a0,
-        a_fatal=fraction * a0,
-        r=r0,
-        d=d0,
-    )
+    return np.array([s0, params.e0, params.i0, (1.0 - fraction) * a0,
+                     fraction * a0, r0, d0], dtype=float)
 
 
 def simulate_observed(params: ModelParams, population_n: float,
@@ -572,7 +493,7 @@ def simulate_observed_batch(params, population_n: float,
     what build_initial_state raises.
     """
     init = np.array([build_initial_state(p, population_n, init_observed,
-                                         a0_fatal_fraction).as_array()
+                                         a0_fatal_fraction)
                      for p in params], dtype=float).reshape(-1, 7).T
     states, diverged = integrate_batch(params, init, horizon, dt)
     active = states[:, 3] + states[:, 4]

@@ -8,7 +8,6 @@ z[t] = log X[t] - log X[t-1], modeled as Normal(model increment, s).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -16,6 +15,7 @@ import numpy as np
 from scipy.special import gammaln, ndtr, ndtri
 
 from . import defaults
+from .artifacts import write_csv
 from .dynamics import (
     PARAM_NAMES,
     DivergenceError,
@@ -114,12 +114,9 @@ class ChainSamples:
             yield ModelParams.from_dict(self.theta_dict(k)), float(self.s[k]), float(self.log_post[k])
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(self.param_names) + ["s", "log_post"])
-            for k in range(len(self)):
-                row = [repr(float(v)) for v in self.thetas[k]]
-                writer.writerow(row + [repr(float(self.s[k])), repr(float(self.log_post[k]))])
+        write_csv(path, [*self.param_names, "s", "log_post"],
+                  ([*theta, s, log_post] for theta, s, log_post
+                   in zip(self.thetas, self.s, self.log_post)))
 
 
 def log_diff(series) -> np.ndarray:

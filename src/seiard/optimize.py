@@ -18,13 +18,14 @@ Two methods, both deterministic for a fixed seed:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 from scipy.special import ndtr, ndtri
+
+from .artifacts import write_csv
 
 METHODS = ("tpe", "random+nm")
 
@@ -93,13 +94,11 @@ class OptResult:
     evaluations: list  # (params dict, loss) in evaluation order
     budget_used: int
 
-    def write_trace_csv(self, path, param_names=None) -> None:
-        names = param_names or list(self.evaluations[0][0])
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eval", "loss"] + list(names))
-            for k, (params, value) in enumerate(self.evaluations):
-                writer.writerow([k, repr(float(value))] + [repr(float(params[n])) for n in names])
+    def write_trace_csv(self, path) -> None:
+        names = list(self.evaluations[0][0])
+        write_csv(path, ["eval", "loss", *names],
+                  ([k, value, *(params[n] for n in names)]
+                   for k, (params, value) in enumerate(self.evaluations)))
 
 
 class _Recorder:

@@ -4,12 +4,12 @@ the loss-quantile threshold used by level-set intervals."""
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .artifacts import write_csv, write_json
 
 MIN_SAMPLES = 100
 DENSITY_GRID_POINTS = 256
@@ -72,11 +72,8 @@ class CorrelationReport:
     degenerate: tuple[bool, ...]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["name"] + list(self.names))
-            for k, name in enumerate(self.names):
-                writer.writerow([name] + [repr(float(v)) for v in self.matrix[k]])
+        write_csv(path, ["name", *self.names],
+                  ([name, *row] for name, row in zip(self.names, self.matrix)))
 
 
 def correlation_matrix(draws, names=None) -> CorrelationReport:
@@ -110,13 +107,6 @@ class DensityCurve:
     grid: np.ndarray
     values: np.ndarray
     bandwidth: float
-
-    def write_csv(self, path, value_name="density") -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["grid", value_name])
-            for g, v in zip(self.grid, self.values):
-                writer.writerow([repr(float(g)), repr(float(v))])
 
 
 def silverman_bandwidth(samples) -> float:
@@ -179,7 +169,5 @@ def jaccard_interval_overlap(a: tuple[float, float], b: tuple[float, float]) -> 
 
 
 def write_hpdi_json(path, intervals: dict[str, Hpdi]) -> None:
-    data = {name: interval.to_dict() for name, interval in intervals.items()}
-    with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, {name: interval.to_dict()
+                      for name, interval in intervals.items()})

@@ -5,8 +5,6 @@ sub-level-set confidence intervals.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -15,6 +13,7 @@ import numpy as np
 from scipy.special import gammaincinv
 
 from . import defaults
+from .artifacts import write_csv, write_json
 from .loss import FitWindow, fit_loss_batch, fit_objective
 from .optimize import NoFeasiblePointError, SearchSpace, minimize
 from .synthdata import Dataset
@@ -55,11 +54,8 @@ class PlCurve:
         return float(np.min(self.profiled_loss))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theta", "profiled_loss"])
-            for theta, value in zip(self.grid, self.profiled_loss):
-                writer.writerow([repr(float(theta)), repr(float(value))])
+        write_csv(path, ["theta", "profiled_loss"],
+                  zip(self.grid, self.profiled_loss))
 
 
 @dataclass(frozen=True)
@@ -371,6 +367,4 @@ def write_pl_json(path, curve: PlCurve, interval: PlInterval | None = None,
         payload["verdict"] = verdict
     if warm_start is not None:
         payload["warm_start"] = warm_start
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

@@ -183,6 +183,9 @@ def resolve_config(config: dict) -> dict:
 def validate(config: dict) -> None:
     """Cheap structural checks with usage-grade errors; the library
     constructors enforce the numeric invariants."""
+    if not (isinstance(config["threads"], int) and config["threads"] >= 1):
+        raise ConfigError(f"threads must be an integer >= 1, "
+                          f"got {config['threads']!r}")
     if config["variant"] not in VARIANTS:
         raise ConfigError(f"variant must be one of {VARIANTS}, "
                           f"got {config['variant']!r}")

@@ -12,8 +12,6 @@ machinery; verdicts are therefore labeled as local numeric evidence.
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +77,6 @@ class SensitivityReport:
             "evidence": EVIDENCE_LABEL,
         }
 
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def svd_rank(matrix) -> tuple[np.ndarray, int, float, np.ndarray]:
     """Singular values, numeric rank at tolerance sigma_max * max(shape) *
@@ -105,9 +98,9 @@ def _observed_stack(params: ModelParams, times: np.ndarray, population_n: float,
                            for name in OBSERVED_FOR_RANK])
 
 
-def _column(args) -> np.ndarray:
-    (params, name, times, rel_step, population_n,
-     init_observed, a0_fatal_fraction, dt) = args
+def _column(params: ModelParams, name: str, times: np.ndarray, rel_step: float,
+            population_n: float, init_observed, a0_fatal_fraction,
+            dt: float) -> np.ndarray:
     base = params.as_dict()
     delta = rel_step * base[name]
     for sign in (+1.0, -1.0):
@@ -132,7 +125,7 @@ def sensitivity_matrix(params: ModelParams, times, rel_step: float = DEFAULT_REL
                        free_names=None, population_n: float = defaults.POPULATION_N,
                        init_observed=defaults.INIT_OBSERVED,
                        a0_fatal_fraction: float | None = None,
-                       dt: float = 0.1, n_jobs: int = 1) -> SensitivityReport:
+                       dt: float = 0.1) -> SensitivityReport:
     """Relative-sensitivity Jacobian of the observations at one point.
 
     Each column is the central difference of the stacked observed series
@@ -147,8 +140,6 @@ def sensitivity_matrix(params: ModelParams, times, rel_step: float = DEFAULT_REL
         times: non-empty integer observation days (> 0).
         rel_step: relative perturbation size.
         free_names: quantities to differentiate; defaults to all 8.
-        n_jobs: columns are independent and may be computed in parallel
-            processes.
 
     Returns:
         SensitivityReport with SVD rank at tolerance
@@ -169,14 +160,9 @@ def sensitivity_matrix(params: ModelParams, times, rel_step: float = DEFAULT_REL
         if base[name] == 0.0:
             raise ValueError(f"{name} is 0; a relative step cannot perturb it")
 
-    jobs = [(params, name, times, rel_step, population_n, init_observed,
-             a0_fatal_fraction, dt) for name in names]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            columns = list(pool.map(_column, jobs))
-    else:
-        columns = [_column(job) for job in jobs]
-    matrix = np.column_stack(columns)
+    matrix = np.column_stack([
+        _column(params, name, times, rel_step, population_n, init_observed,
+                a0_fatal_fraction, dt) for name in names])
 
     singular_values, numeric_rank, tolerance, v_rows = svd_rank(matrix)
     near_null = singular_values <= singular_values[0] * NEAR_NULL_RATIO

@@ -4,12 +4,12 @@ generating configuration attached for exact regeneration."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import defaults
+from .artifacts import write_json
 from .dynamics import ModelParams, ObservedSeries, simulate_observed
 
 # Series order used for per-series RNG stream derivation.
@@ -77,9 +77,7 @@ class Dataset:
 
     def write(self, csv_path, json_path) -> None:
         self.observed.write_csv(csv_path)
-        with open(json_path, "w") as fh:
-            json.dump(self.config.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(json_path, self.config.to_dict())
 
 
 def default_config(**changes) -> DatasetConfig:

@@ -1,10 +1,12 @@
 """Reference RK4 for the bit-identity tests of `seiard.dynamics.integrate`.
 
-This is the earlier closure-based form of the integrator: one `deriv` closure
-returning a 7-tuple, four tuples per substep, and a per-day check of every
-compartment.  `integrate` must reproduce its output byte for byte and raise
-the same `DivergenceError` messages.  Input validation is left to
-`integrate`; callers pass valid inputs.
+This is the earlier closure-based form of the integrator: one call of the
+right-hand side `deriv` per stage, each returning a 7-tuple, and a per-day
+check of every compartment.  `integrate` must reproduce its output byte for
+byte and raise the same `DivergenceError` messages.  `deriv` is the model's
+right-hand side written out flow by flow; tests/test_dynamics.py checks it
+against hand-computed rates.  Input validation is left to `integrate`;
+callers pass valid inputs.
 """
 
 from __future__ import annotations
@@ -30,59 +32,59 @@ def check_day(day: int, values: tuple) -> tuple:
     return tuple(out)
 
 
+def deriv(params, population_n: float, s, e, i, ar, af, r, d) -> tuple:
+    """Flow rates (persons/day) of the seven compartments, in COMPARTMENTS
+    order, at one state of a population of population_n."""
+    infection = params.beta / population_n * i * s
+    incubation = params.sigma * e
+    onset = params.gamma * i
+    recovery = ar * (1.0 / params.t_recov)
+    death = af * (1.0 / params.t_fatal)
+    return (
+        -infection,
+        infection - incubation,
+        incubation - onset,
+        (1.0 - params.p_fatal) * onset - recovery,
+        params.p_fatal * onset - death,
+        recovery,
+        death,
+    )
+
+
 def integrate_reference(params, init, horizon: int, dt: float = 0.1,
                         on_clamp=None) -> np.ndarray:
-    """States of shape (horizon + 1, 7); on_clamp(day) is called for every
-    day on which the check clamped a small negative value to zero."""
-    population_n = init.total
+    """States of shape (horizon + 1, 7) from the (7,) day-0 state init;
+    on_clamp(day) is called for every day on which the check clamped a small
+    negative value to zero."""
+    y = tuple(float(v) for v in init)
+    s, e, i, ar, af, r, d = y
+    population_n = s + e + i + ar + af + r + d
     steps_per_day = max(1, round(1.0 / dt))
     h = 1.0 / steps_per_day
-
-    beta_n = params.beta / population_n
-    sigma = params.sigma
-    gamma = params.gamma
-    pf = params.p_fatal
-    inv_tr = 1.0 / params.t_recov
-    inv_tf = 1.0 / params.t_fatal
-
-    def deriv(s, e, i, ar, af, r, d):
-        infection = beta_n * i * s
-        incubation = sigma * e
-        onset = gamma * i
-        recovery = ar * inv_tr
-        death = af * inv_tf
-        return (
-            -infection,
-            infection - incubation,
-            incubation - onset,
-            (1.0 - pf) * onset - recovery,
-            pf * onset - death,
-            recovery,
-            death,
-        )
-
     half = 0.5 * h
     sixth = h / 6.0
 
-    y = (init.s, init.e, init.i, init.a_recov, init.a_fatal, init.r, init.d)
     out = np.empty((horizon + 1, 7))
     out[0] = y
 
     for day in range(1, horizon + 1):
         s, e, i, ar, af, r, d = y
         for _ in range(steps_per_day):
-            k1 = deriv(s, e, i, ar, af, r, d)
+            k1 = deriv(params, population_n, s, e, i, ar, af, r, d)
             k2 = deriv(
+                params, population_n,
                 s + half * k1[0], e + half * k1[1], i + half * k1[2],
                 ar + half * k1[3], af + half * k1[4], r + half * k1[5],
                 d + half * k1[6],
             )
             k3 = deriv(
+                params, population_n,
                 s + half * k2[0], e + half * k2[1], i + half * k2[2],
                 ar + half * k2[3], af + half * k2[4], r + half * k2[5],
                 d + half * k2[6],
             )
             k4 = deriv(
+                params, population_n,
                 s + h * k3[0], e + h * k3[1], i + h * k3[2],
                 ar + h * k3[3], af + h * k3[4], r + h * k3[5],
                 d + h * k3[6],

@@ -71,6 +71,8 @@ class TestConfig:
             ("profile.threshold=magic", "threshold"),
             ('profile.params=["t_inc"]', "not free"),
             ("pins.zeta=1.0", "unknown parameter"),
+            ("threads=0", "threads"),
+            ('threads="2"', "threads"),
         ]:
             config = runconfig.load_config()
             runconfig.apply_set(config, assignment)
@@ -376,3 +378,12 @@ class TestEntryPoint:
     def test_bad_threads_usage_error(self, tmp_path):
         code = run_cli("report", "--out", str(tmp_path / "r"), "--threads", "0")
         assert code == EXIT_USAGE
+
+    def test_bad_threads_in_config_usage_error(self, tmp_path):
+        # the flag, --set and a config file all meet the same check
+        path = tmp_path / "cfg.json"
+        path.write_text('{"threads": 0}')
+        for argv in (["--set", "threads=0"], ["--config", str(path)]):
+            out = tmp_path / argv[0].lstrip("-")
+            assert run_cli("report", "--out", str(out), *argv) == EXIT_USAGE
+            assert not (out / "manifest.json").exists()

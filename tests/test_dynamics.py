@@ -8,17 +8,15 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import seiard.dynamics as dynamics_module
-from rk4_reference import integrate_reference
+from rk4_reference import deriv, integrate_reference
 from seiard import defaults
 from seiard.dynamics import (
     COMPARTMENTS,
     DivergenceError,
     ModelParams,
     ParameterDomainError,
-    State,
     _check_day,
     build_initial_state,
-    derivative,
     integrate,
     integrate_batch,
     lti_matrices,
@@ -47,15 +45,15 @@ params_strategy = st.builds(
     i0=st.floats(0.0, 5.0),
 )
 
-state_strategy = st.builds(
-    State,
-    s=st.floats(0.0, 1e7),
-    e=st.floats(0.0, 1e5),
-    i=st.floats(0.0, 1e5),
-    a_recov=st.floats(0.0, 1e6),
-    a_fatal=st.floats(0.0, 1e5),
-    r=st.floats(0.0, 1e6),
-    d=st.floats(0.0, 1e5),
+# s, e, i, a_recov, a_fatal, r, d
+state_strategy = st.tuples(
+    st.floats(0.0, 1e7),
+    st.floats(0.0, 1e5),
+    st.floats(0.0, 1e5),
+    st.floats(0.0, 1e6),
+    st.floats(0.0, 1e5),
+    st.floats(0.0, 1e6),
+    st.floats(0.0, 1e5),
 )
 
 
@@ -93,53 +91,45 @@ class TestModelParams:
 
 
 class TestDerivative:
+    """The right-hand side of the reference RK4, which integrate and
+    integrate_batch reproduce bit for bit, against hand-computed rates."""
+
     def test_empty_transit_compartments_give_zero_rates(self):
         # no infectious pressure and nothing in transit -> nothing moves
-        state = State(s=1e6, e=0.0, i=0.0, a_recov=0.0, a_fatal=0.0, r=10.0, d=1.0)
-        rate = derivative(state, TRUE, 1e6 + 11.0)
-        assert rate.as_array().tolist() == [0.0] * 7
+        rate = deriv(TRUE, 1e6 + 11.0, 1e6, 0.0, 0.0, 0.0, 0.0, 10.0, 1.0)
+        assert list(rate) == [0.0] * 7
 
     def test_susceptible_outflow_at_scenario_values(self):
         # beta * I * S / N with one infectious person in a whole-population S
-        state = State(s=N, e=1.0, i=1.0, a_recov=0.0, a_fatal=0.0, r=0.0, d=0.0)
-        rate = derivative(state, TRUE, N)
-        assert rate.s == -0.25
+        rate = deriv(TRUE, N, N, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+        assert rate[0] == -0.25
 
     def test_hand_computed_rates(self):
-        state = State(s=9e6, e=100.0, i=50.0, a_recov=40.0, a_fatal=10.0, r=5.0, d=1.0)
-        rate = derivative(state, TRUE, 1e7)
+        rate = deriv(TRUE, 1e7, 9e6, 100.0, 50.0, 40.0, 10.0, 5.0, 1.0)
         infection = 0.25 * 50.0 * 9e6 / 1e7
         incubation = 100.0 / 5.10
         onset = 50.0 / 6.60
-        assert rate.s == pytest.approx(-infection, rel=1e-15)
-        assert rate.e == pytest.approx(infection - incubation, rel=1e-15)
-        assert rate.i == pytest.approx(incubation - onset, rel=1e-15)
-        assert rate.a_recov == pytest.approx(0.97 * onset - 40.0 / 14.0, rel=1e-15)
-        assert rate.a_fatal == pytest.approx(0.03 * onset - 10.0 / 10.0, rel=1e-15)
-        assert rate.r == pytest.approx(40.0 / 14.0, rel=1e-15)
-        assert rate.d == pytest.approx(10.0 / 10.0, rel=1e-15)
+        want = (-infection, infection - incubation, incubation - onset,
+                0.97 * onset - 40.0 / 14.0, 0.03 * onset - 10.0 / 10.0,
+                40.0 / 14.0, 10.0 / 10.0)
+        assert rate == pytest.approx(want, rel=1e-15)
 
     @given(params=params_strategy, state=state_strategy)
     @settings(max_examples=200)
     def test_rates_sum_to_zero(self, params, state):
-        rate = derivative(state, params, max(state.total, 1.0))
-        arr = rate.as_array()
+        arr = np.array(deriv(params, max(sum(state), 1.0), *state))
         scale = max(1.0, float(np.abs(arr).max()))
         assert abs(arr.sum()) <= 1e-8 * scale
-
-    def test_population_must_be_positive(self):
-        with pytest.raises(ParameterDomainError):
-            derivative(default_init(), TRUE, 0.0)
 
 
 class TestIntegrate:
     def test_day_zero_row_is_init(self):
         traj = integrate(TRUE, default_init(), 10)
-        assert traj.states[0].tolist() == list(default_init().as_array())
+        assert traj.states[0].tolist() == default_init().tolist()
         assert traj.times.tolist() == list(range(11))
 
     def test_steady_state_is_exactly_constant(self):
-        state = State(s=1e6, e=0.0, i=0.0, a_recov=0.0, a_fatal=0.0, r=100.0, d=10.0)
+        state = np.array([1e6, 0.0, 0.0, 0.0, 0.0, 100.0, 10.0])
         traj = integrate(TRUE, state, 50)
         assert (traj.states == traj.states[0]).all()
 
@@ -208,9 +198,17 @@ class TestIntegrate:
             integrate(TRUE, default_init(), 10, dt=dt)
 
     def test_negative_init_rejected(self):
-        bad = State(s=1e6, e=-1.0, i=0.0, a_recov=0.0, a_fatal=0.0, r=0.0, d=0.0)
-        with pytest.raises(ParameterDomainError):
+        bad = np.array([1e6, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ParameterDomainError, match="init.e must be >= 0"):
             integrate(TRUE, bad, 10)
+
+    def test_population_must_be_positive(self):
+        empty = np.zeros(7)
+        with pytest.raises(ParameterDomainError, match="initial state has no population"):
+            integrate(TRUE, empty, 10)
+        batch = np.column_stack([default_init(), empty])
+        with pytest.raises(ParameterDomainError, match="initial state has no population"):
+            integrate_batch([TRUE, TRUE], batch, 10)
 
     def test_divergence_guard_clamps_noise(self):
         values = (1.0, -1e-12, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -318,7 +316,7 @@ class TestKernelBitIdentity:
 
 
 def _column_init(params, population):
-    return build_initial_state(params, population, defaults.INIT_OBSERVED).as_array()
+    return build_initial_state(params, population, defaults.INIT_OBSERVED)
 
 
 def _assert_columns_match(cases, horizon, dt):
@@ -331,8 +329,7 @@ def _assert_columns_match(cases, horizon, dt):
     assert states.shape == (horizon + 1, 7, len(cases))
     for b, (p, n) in enumerate(cases):
         column = np.ascontiguousarray(states[:, :, b])
-        outcome = _outcome(lambda: integrate(p, State.from_array(init[:, b]),
-                                             horizon, dt).states)
+        outcome = _outcome(lambda: integrate(p, init[:, b], horizon, dt).states)
         if outcome[0] == "states":
             assert not diverged[b]
             assert column.tobytes() == outcome[1]
@@ -340,7 +337,7 @@ def _assert_columns_match(cases, horizon, dt):
             assert diverged[b]
             day = int(outcome[1].rsplit(" ", 1)[1])
             if day > 1:
-                before = integrate(p, State.from_array(init[:, b]), day - 1, dt)
+                before = integrate(p, init[:, b], day - 1, dt)
                 assert column[:day].tobytes() == before.states.tobytes()
             assert not column[day:].any()
     return states, diverged
@@ -387,7 +384,7 @@ class TestBatchKernel:
             assert observed[b].tobytes() == want.tobytes()
 
     def test_rejects_bad_input(self):
-        init = default_init().as_array()[:, None]
+        init = default_init()[:, None]
         with pytest.raises(ValueError):
             integrate_batch([TRUE, TRUE], init, 10)
         with pytest.raises(ValueError):
@@ -423,10 +420,9 @@ class TestLti:
 
     def test_linear_approximation_matches_early_outbreak(self):
         # while s/N stays within 0.1% of 1 the full model is effectively LTI
-        init = State(s=N - 2.0, e=1.0, i=1.0, a_recov=0.0, a_fatal=0.0, r=0.0, d=0.0)
-        traj = integrate(TRUE, init, 130)
+        x0 = np.array([N - 2.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+        traj = integrate(TRUE, x0, 130)
         sys = lti_matrices(TRUE)
-        x0 = init.as_array()
         for t in (30, 80, 130):
             assert traj.states[t][0] / N >= 0.999
             linear = expm(sys.b_matrix * float(t)) @ x0
@@ -445,7 +441,7 @@ class TestObserve:
         assert (obs.total == obs.active + obs.recovered + obs.deceased).all()
 
     def test_single_state_observation(self):
-        state = State(s=100.0, e=9.0, i=8.0, a_recov=5.0, a_fatal=2.0, r=11.0, d=3.0)
+        state = np.array([100.0, 9.0, 8.0, 5.0, 2.0, 11.0, 3.0])
         traj = integrate(TRUE, state, 1)
         obs = observe(traj)
         assert obs.active[0] == 7.0
@@ -469,24 +465,30 @@ class TestObserve:
         obs = observe(integrate(TRUE, default_init(), 30))
         path = tmp_path / "observed.csv"
         obs.write_csv(path)
-        back = type(obs).read_csv(path)
-        assert (back.times == obs.times).all()
-        assert (back.active == obs.active).all()
-        assert (back.total == obs.total).all()
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "active", "recovered", "deceased", "total"]
+        back = np.array(rows[1:], dtype=float)
+        want = np.column_stack([obs.times, obs.active, obs.recovered,
+                                obs.deceased, obs.total])
+        assert back.tobytes() == want.tobytes()
 
 
 class TestInitialState:
     def test_active_pool_split_by_fatality(self):
         init = build_initial_state(TRUE, N, (5.0, 0.0, 0.0))
-        assert init.a_fatal == pytest.approx(0.15)
-        assert init.a_recov == pytest.approx(4.85)
-        assert init.e == 1.0 and init.i == 1.0
-        assert init.s == N - 7.0
-        assert init.total == pytest.approx(N)
+        assert init.shape == (len(COMPARTMENTS),)
+        s, e, i, a_recov, a_fatal, r, d = init
+        assert a_fatal == pytest.approx(0.15)
+        assert a_recov == pytest.approx(4.85)
+        assert e == 1.0 and i == 1.0
+        assert s == N - 7.0
+        assert r == 0.0 and d == 0.0
+        assert init.sum() == pytest.approx(N)
 
     def test_split_override(self):
         init = build_initial_state(TRUE, N, (10.0, 0.0, 0.0), a0_fatal_fraction=0.5)
-        assert init.a_fatal == 5.0 and init.a_recov == 5.0
+        assert init[3] == 5.0 and init[4] == 5.0
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ParameterDomainError):
@@ -496,16 +498,3 @@ class TestInitialState:
         with pytest.raises(ParameterDomainError):
             build_initial_state(TRUE, 5.0, (5.0, 0.0, 0.0))
 
-
-class TestTrajectoryCsv:
-    def test_header_and_values(self, tmp_path):
-        traj = integrate(TRUE, default_init(), 5)
-        path = tmp_path / "trajectory.csv"
-        traj.write_csv(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "S", "E", "I", "A_recov", "A_fatal", "R", "D"]
-        assert len(rows) == 7
-        parsed = np.array([[float(v) for v in row] for row in rows[1:]])
-        assert (parsed[:, 0] == traj.times).all()
-        assert (parsed[:, 1:] == traj.states).all()

@@ -212,15 +212,6 @@ class TestMarginalDensity:
         h = silverman_bandwidth(samples)
         assert h == pytest.approx(0.9 * 10_000 ** (-0.2), rel=0.05)
 
-    def test_csv_output(self, tmp_path):
-        rng = np.random.default_rng(7)
-        curve = marginal_density(rng.standard_normal(200))
-        path = tmp_path / "density.csv"
-        curve.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "grid,density"
-        assert len(lines) == 257
-
 
 class TestJaccard:
     def test_identical_intervals(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from seiard import defaults
+from seiard.artifacts import write_json
 from seiard.dynamics import DivergenceError
 from seiard.structural import (
     SensitivityReport,
@@ -96,12 +97,6 @@ class TestSensitivityMatrix:
         rel = np.abs(fine.singular_values - coarse.singular_values) / coarse.singular_values
         assert rel.max() < 0.01
 
-    def test_parallel_columns_match_sequential(self):
-        times = np.arange(1, 15)
-        seq = sensitivity_matrix(TRUTH, times, free_names=REPARAM_FREE, n_jobs=1)
-        par = sensitivity_matrix(TRUTH, times, free_names=REPARAM_FREE, n_jobs=2)
-        np.testing.assert_array_equal(seq.matrix, par.matrix)
-
     def test_perturbation_failure_names_quantity(self):
         at_edge = TRUTH.replace(p_fatal=1.0)
         with pytest.raises(DivergenceError, match="p_fatal"):
@@ -152,7 +147,7 @@ class TestReportAndVerdict:
     def test_json_report(self, month_reports, tmp_path):
         reparam, _ = month_reports
         path = tmp_path / "sens.json"
-        reparam.write_json(path)
+        write_json(path, reparam.to_dict())
         payload = json.loads(path.read_text())
         assert payload["numeric_rank"] == 5
         assert payload["free_names"] == list(REPARAM_FREE)

@@ -49,6 +49,8 @@ RUNS = (
     ("mcmc", ("mcmc", *NOISY, *SMALL_MCMC)),
     ("report", ("report",)),
     ("report-original", ("report", "--set", "variant=original")),
+    ("report-original-threads", ("report", "--set", "variant=original",
+                                 "--threads", "2")),
     ("forecast-eval", ("forecast-eval", *NOISY,
                        "--set", "forecast.horizons=[42,100]",
                        "--set", "forecast.seeds=[1,2]",
