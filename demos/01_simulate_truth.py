@@ -3,7 +3,7 @@ point and print the headline trajectory numbers."""
 
 import numpy as np
 
-from seiard import build_initial_state, integrate, observe
+from seiard.dynamics import build_initial_state, integrate, observe
 from seiard.defaults import HORIZON_DAYS, INIT_OBSERVED, POPULATION_N, TRUE_PARAMS
 
 init = build_initial_state(TRUE_PARAMS, POPULATION_N, INIT_OBSERVED)

@@ -5,7 +5,7 @@ Only beta, t_recov, p_fatal and the two seed counts are free; the three
 pinned timescales play the role of values taken from prior studies.
 """
 
-from seiard import FitWindow, SearchSpace, fit_loss, fit_objective, generate, minimize
+from seiard import FitWindow, SearchSpace, fit_objective, generate, minimize
 from seiard.defaults import (
     DEFAULT_WINDOW,
     FIT_BUDGET_REPARAM,
@@ -14,6 +14,7 @@ from seiard.defaults import (
     TRUE_PARAMS,
 )
 from seiard.dynamics import ModelParams
+from seiard.loss import fit_loss
 from seiard.synthdata import NoiseSpec, default_config
 
 

@@ -15,9 +15,9 @@ from seiard import (
     chi2_threshold,
     pl_interval,
     profile_likelihood,
-    unimodality_verdict,
 )
 from seiard.defaults import DEFAULT_WINDOW, REPARAM_PINS, SEARCH_BOUNDS, TRUE_PARAMS
+from seiard.profile import unimodality_verdict
 from seiard.synthdata import NoiseSpec, default_config, generate
 
 parser = argparse.ArgumentParser(description=__doc__)

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from seiard import McmcConfig, gelman_rubin, hpdi, pooled_param, run_chains
+from seiard import SearchSpace
 from seiard.defaults import (
     DEFAULT_WINDOW,
     PROPOSAL_VARIANCES,
@@ -20,13 +20,16 @@ from seiard.defaults import (
     TRUE_PARAMS,
 )
 from seiard.loss import FitWindow
+from seiard.mcmc import McmcConfig, gelman_rubin, pooled_param, run_chains
+from seiard.posterior import hpdi
 from seiard.synthdata import NoiseSpec, default_config, generate
 
 n_samples = int(sys.argv[1]) if len(sys.argv) > 1 else 8000
 
 dataset = generate(default_config(noise=NoiseSpec(0.05), seed=4))
-config = McmcConfig(window=FitWindow(*DEFAULT_WINDOW), bounds=SEARCH_BOUNDS,
-                    proposal_variances=PROPOSAL_VARIANCES, pinned=REPARAM_PINS,
+config = McmcConfig(window=FitWindow(*DEFAULT_WINDOW),
+                    space=SearchSpace(SEARCH_BOUNDS, pinned=REPARAM_PINS),
+                    proposal_variances=PROPOSAL_VARIANCES,
                     n_samples=n_samples, n_burn=n_samples // 4, n_chains=4,
                     thin=5, seed=0)
 chains = run_chains(dataset, config)

@@ -7,13 +7,14 @@ and conditioning off its SVD. Run for both variants to see why the full
 eight-parameter fit is hopeless on a short window.
 """
 
-from seiard.defaults import REPARAM_PINS, TRUE_PARAMS, free_names
+from seiard import SearchSpace
+from seiard.defaults import REPARAM_PINS, SEARCH_BOUNDS, TRUE_PARAMS
 from seiard.structural import sensitivity_matrix, structural_verdict
 
 TIMES = list(range(1, 29))
 
 for label, pins in (("reparam", REPARAM_PINS), ("original", {})):
-    names = free_names(pins)
+    names = SearchSpace(SEARCH_BOUNDS, pinned=pins).free_names
     report = sensitivity_matrix(TRUE_PARAMS, TIMES, free_names=names)
     verdict = structural_verdict(report)
     sv = report.singular_values

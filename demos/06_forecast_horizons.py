@@ -10,9 +10,10 @@ import argparse
 
 import numpy as np
 
-from seiard import FitWindow, SearchSpace, fit_objective, mape, minimize, simulate_observed
+from seiard import FitWindow, SearchSpace, fit_objective, minimize
 from seiard.defaults import DEFAULT_WINDOW, REPARAM_PINS, SEARCH_BOUNDS
-from seiard.dynamics import ModelParams
+from seiard.dynamics import ModelParams, simulate_observed
+from seiard.loss import mape
 from seiard.synthdata import NoiseSpec, default_config, generate
 
 parser = argparse.ArgumentParser(description=__doc__)

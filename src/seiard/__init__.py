@@ -1,129 +1,23 @@
-"""SEIARD compartmental model simulation, fitting, and identifiability analysis."""
+"""SEIARD compartmental model simulation, fitting, and identifiability analysis.
 
-from . import defaults
-from .dynamics import (
-    COMPARTMENTS,
-    PARAM_NAMES,
-    DivergenceError,
-    LtiSystem,
-    ModelParams,
-    ObservedSeries,
-    ParameterDomainError,
-    Trajectory,
-    build_initial_state,
-    integrate,
-    integrate_batch,
-    lti_matrices,
-    observe,
-    simulate_observed,
-    simulate_observed_batch,
-)
-from .synthdata import Dataset, DatasetConfig, NoiseSpec, default_config, generate
-from .loss import FitWindow, fit_loss, fit_loss_batch, fit_objective, mape
-from .optimize import METHODS, NoFeasiblePointError, OptResult, SearchSpace, minimize
-from .profile import (
-    PlCurve,
-    PlInterval,
-    chi2_threshold,
-    default_grid,
-    pl_interval,
-    posterior_loss_threshold,
-    profile_likelihood,
-    unimodality_verdict,
-    write_pl_json,
-)
-from .mcmc import (
-    ChainSamples,
-    McmcConfig,
-    concentrated_neg_log_likelihood,
-    gelman_rubin,
-    log_likelihood,
-    pooled_param,
-    run_chain,
-    run_chains,
-)
-from .posterior import (
-    CorrelationReport,
-    DensityCurve,
-    Hpdi,
-    correlation_matrix,
-    hpdi,
-    jaccard_interval_overlap,
-    loss_quantile,
-    marginal_density,
-    neg_log_density,
-    silverman_bandwidth,
-    write_hpdi_json,
-)
-from .structural import (
-    SensitivityReport,
-    sensitivity_matrix,
-    structural_verdict,
-    svd_rank,
-)
+The package namespace holds the library API the README documents; every
+other name is imported from its module (seiard.dynamics, seiard.mcmc, ...).
+"""
+
+from .loss import FitWindow, fit_objective
+from .optimize import SearchSpace, minimize
+from .profile import chi2_threshold, pl_interval, profile_likelihood
+from .synthdata import NoiseSpec, default_config, generate
 
 __all__ = [
-    "COMPARTMENTS",
-    "PARAM_NAMES",
-    "METHODS",
-    "ChainSamples",
-    "CorrelationReport",
-    "Dataset",
-    "DatasetConfig",
-    "DensityCurve",
-    "DivergenceError",
     "FitWindow",
-    "Hpdi",
-    "LtiSystem",
-    "McmcConfig",
-    "ModelParams",
-    "NoFeasiblePointError",
     "NoiseSpec",
-    "ObservedSeries",
-    "OptResult",
-    "ParameterDomainError",
-    "PlCurve",
-    "PlInterval",
     "SearchSpace",
-    "SensitivityReport",
-    "Trajectory",
-    "build_initial_state",
     "chi2_threshold",
-    "concentrated_neg_log_likelihood",
-    "correlation_matrix",
     "default_config",
-    "default_grid",
-    "defaults",
-    "fit_loss",
-    "fit_loss_batch",
     "fit_objective",
-    "gelman_rubin",
     "generate",
-    "hpdi",
-    "integrate",
-    "integrate_batch",
-    "jaccard_interval_overlap",
-    "log_likelihood",
-    "loss_quantile",
-    "lti_matrices",
-    "mape",
-    "marginal_density",
     "minimize",
-    "neg_log_density",
-    "observe",
     "pl_interval",
-    "pooled_param",
-    "posterior_loss_threshold",
     "profile_likelihood",
-    "run_chain",
-    "run_chains",
-    "sensitivity_matrix",
-    "silverman_bandwidth",
-    "simulate_observed",
-    "simulate_observed_batch",
-    "structural_verdict",
-    "svd_rank",
-    "unimodality_verdict",
-    "write_hpdi_json",
-    "write_pl_json",
 ]

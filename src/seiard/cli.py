@@ -177,7 +177,7 @@ def cmd_report(resolved: dict, out: Path) -> None:
         times = list(range(window.t_begin + 1, window.t_end + 1))
     report = sensitivity_matrix(
         point, times, rel_step=float(section["rel_step"]),
-        free_names=runconfig.free_param_names(resolved),
+        free_names=runconfig.build_space(resolved).free_names,
         population_n=dataset_config.population_n,
         init_observed=dataset_config.init_observed,
         a0_fatal_fraction=dataset_config.a0_fatal_fraction,

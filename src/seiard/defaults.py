@@ -64,9 +64,3 @@ DEFAULT_WINDOW = (0, 28)
 FIT_BUDGET_FULL = 2000     # 8 free parameters
 FIT_BUDGET_REPARAM = 500   # 5 free parameters
 
-
-def free_names(pinned: dict[str, float]) -> list[str]:
-    """Parameter names not pinned, in canonical order."""
-    from .dynamics import PARAM_NAMES
-
-    return [name for name in PARAM_NAMES if name not in pinned]

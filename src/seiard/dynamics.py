@@ -101,18 +101,18 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class ObservedSeries:
-    """The reportable daily case series derived from a trajectory."""
+    """The reportable daily case series derived from a trajectory.
+
+    values has shape (4, len(times)), one row per OBSERVED_SERIES.
+    """
 
     times: np.ndarray
-    active: np.ndarray
-    recovered: np.ndarray
-    deceased: np.ndarray
-    total: np.ndarray
+    values: np.ndarray
 
     def series(self, name: str) -> np.ndarray:
         if name not in OBSERVED_SERIES:
             raise ValueError(f"unknown series {name!r}, expected one of {OBSERVED_SERIES}")
-        return getattr(self, name)
+        return self.values[OBSERVED_SERIES.index(name)]
 
     def window(self, t_begin: int, t_end: int) -> "ObservedSeries":
         """Restrict to integer days t_begin..t_end inclusive."""
@@ -123,18 +123,10 @@ class ObservedSeries:
             )
         lo = int(t_begin - self.times[0])
         hi = int(t_end - self.times[0]) + 1
-        return ObservedSeries(
-            times=self.times[lo:hi],
-            active=self.active[lo:hi],
-            recovered=self.recovered[lo:hi],
-            deceased=self.deceased[lo:hi],
-            total=self.total[lo:hi],
-        )
+        return ObservedSeries(times=self.times[lo:hi], values=self.values[:, lo:hi])
 
     def write_csv(self, path) -> None:
-        write_csv(path, ["t", *OBSERVED_SERIES],
-                  zip(self.times, self.active, self.recovered, self.deceased,
-                      self.total))
+        write_csv(path, ["t", *OBSERVED_SERIES], zip(self.times, *self.values))
 
 
 def _check_day(day: int, values: tuple) -> tuple:
@@ -423,22 +415,23 @@ def integrate_batch(params, init: np.ndarray, horizon: int,
     return states, diverged
 
 
-def observe(trajectory: Trajectory) -> ObservedSeries:
-    """Map a trajectory onto the reportable series.
+def _observed_rows(states: np.ndarray) -> np.ndarray:
+    """The OBSERVED_SERIES rows of (T, 7) or (T, 7, B) states, as a (4, T)
+    or (4, T, B) array.
 
     active = a_recov + a_fatal, recovered = r, deceased = d,
     total = active + recovered + deceased.  E and I stay hidden.
     """
-    active = trajectory.compartment("a_recov") + trajectory.compartment("a_fatal")
-    recovered = trajectory.compartment("r").copy()
-    deceased = trajectory.compartment("d").copy()
-    return ObservedSeries(
-        times=trajectory.times.copy(),
-        active=active,
-        recovered=recovered,
-        deceased=deceased,
-        total=active + recovered + deceased,
-    )
+    active = states[:, 3] + states[:, 4]
+    recovered = states[:, 5]
+    deceased = states[:, 6]
+    return np.stack([active, recovered, deceased, active + recovered + deceased])
+
+
+def observe(trajectory: Trajectory) -> ObservedSeries:
+    """Map a trajectory onto the reportable series."""
+    return ObservedSeries(times=trajectory.times.copy(),
+                          values=_observed_rows(trajectory.states))
 
 
 def build_initial_state(params: ModelParams, population_n: float,
@@ -496,12 +489,7 @@ def simulate_observed_batch(params, population_n: float,
                                          a0_fatal_fraction)
                      for p in params], dtype=float).reshape(-1, 7).T
     states, diverged = integrate_batch(params, init, horizon, dt)
-    active = states[:, 3] + states[:, 4]
-    recovered = states[:, 5]
-    deceased = states[:, 6]
-    observed = np.stack([active, recovered, deceased,
-                         active + recovered + deceased])
-    return np.ascontiguousarray(observed.transpose(2, 0, 1)), diverged
+    return np.ascontiguousarray(_observed_rows(states).transpose(2, 0, 1)), diverged
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ import numpy as np
 from .dynamics import (
     DivergenceError,
     ModelParams,
-    ObservedSeries,
     simulate_observed,
     simulate_observed_batch,
 )
@@ -20,8 +19,6 @@ from .synthdata import Dataset
 # Denominator guard: counts below one person are treated as one person so a
 # near-empty series cannot blow the percentage error up.
 EPSILON_PERSONS = 1.0
-
-LOSS_SERIES = ("active", "recovered", "deceased", "total")
 
 # fit_loss_batch solves fewer candidates than this one by one.  The batched
 # kernel costs about 12 ms per 28 days however few columns it has, a scalar
@@ -78,15 +75,8 @@ def _check_window(dataset: Dataset, window: FitWindow) -> None:
             f"window end {window.t_end} exceeds dataset horizon {dataset.config.horizon}")
 
 
-def _window_rows(observed: ObservedSeries, window: FitWindow) -> np.ndarray:
-    """The LOSS_SERIES of observed on the window's days, as a (4, n_days) array."""
-    lo = int(window.t_begin - observed.times[0])
-    hi = lo + window.n_days
-    return np.array([getattr(observed, name)[lo:hi] for name in LOSS_SERIES])
-
-
 def _mean_mape(reported: np.ndarray, predicted: np.ndarray) -> np.ndarray:
-    """Mean over LOSS_SERIES of mape(reported row, predicted row).
+    """Mean over OBSERVED_SERIES of mape(reported row, predicted row).
 
     reported has shape (4, n) and predicted (..., 4, n).  The four values are
     added one at a time from the first, as np.mean adds four values, so the
@@ -116,8 +106,9 @@ def fit_loss(dataset: Dataset, params: ModelParams, window: FitWindow,
                                       config.dt if dt is None else dt)
     except DivergenceError:
         return math.inf
-    return float(_mean_mape(_window_rows(dataset.observed, window),
-                            _window_rows(simulated, window)))
+    return float(_mean_mape(
+        dataset.observed.window(window.t_begin, window.t_end).values,
+        simulated.values[:, window.t_begin:]))
 
 
 def fit_loss_batch(dataset: Dataset, params, window: FitWindow,
@@ -135,7 +126,7 @@ def fit_loss_batch(dataset: Dataset, params, window: FitWindow,
                         dtype=float)
     _check_window(dataset, window)
     config = dataset.config
-    reported = _window_rows(dataset.observed, window)
+    reported = dataset.observed.window(window.t_begin, window.t_end).values
     losses = np.empty(len(params))
     for start in range(0, len(params), BATCH_COLUMNS):
         chunk = params[start:start + BATCH_COLUMNS]

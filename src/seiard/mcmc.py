@@ -12,37 +12,29 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri
+from scipy.special import gammaln, ndtr
 
 from . import defaults
 from .artifacts import write_csv
-from .dynamics import (
-    PARAM_NAMES,
-    DivergenceError,
-    ModelParams,
-    simulate_observed,
-)
+from .dynamics import DivergenceError, ModelParams, ObservedSeries, simulate_observed
 from .loss import EPSILON_PERSONS, FitWindow
+from .optimize import SearchSpace, truncated_normal
 from .synthdata import Dataset
-
-DEFAULT_COMPONENTS = ("active", "recovered", "deceased")
 
 
 @dataclass(frozen=True)
 class McmcConfig:
     """Sampler settings.
 
-    bounds give the truncation box (a zero-width interval freezes that
-    coordinate); pinned values are excluded from sampling entirely and
-    carried through to every draw.
+    space gives the truncation box and the pinned values; pinned values are
+    excluded from sampling entirely and carried through to every draw.
     """
 
     window: FitWindow
-    bounds: dict[str, tuple[float, float]] = field(
-        default_factory=lambda: dict(defaults.SEARCH_BOUNDS))
+    space: SearchSpace = field(
+        default_factory=lambda: SearchSpace(dict(defaults.SEARCH_BOUNDS)))
     proposal_variances: dict[str, float] = field(
         default_factory=lambda: dict(defaults.PROPOSAL_VARIANCES))
-    pinned: dict[str, float] = field(default_factory=dict)
     u: float = defaults.VARIANCE_PRIOR_SHAPE
     v: float = defaults.VARIANCE_PRIOR_SCALE
     n_samples: int = 20_000
@@ -50,7 +42,6 @@ class McmcConfig:
     n_chains: int = 4
     thin: int = 5
     seed: int = 0
-    components: tuple[str, ...] = DEFAULT_COMPONENTS
     hastings_correction: bool = True
 
     def __post_init__(self):
@@ -61,21 +52,10 @@ class McmcConfig:
                 f"need 0 <= n_burn < n_samples, got {self.n_burn} vs {self.n_samples}")
         if self.thin < 1 or self.n_chains < 1:
             raise ValueError("thin and n_chains must be >= 1")
-        for name in self.free_names:
-            lo, hi = self.bounds[name]
-            if lo > hi:
-                raise ValueError(f"{name}: bounds lo > hi")
+        for name in self.space.free_names:
             variance = self.proposal_variances.get(name)
             if variance is None or variance <= 0:
                 raise ValueError(f"{name}: proposal variance must be > 0, got {variance}")
-        for name, value in self.pinned.items():
-            lo, hi = self.bounds.get(name, (-math.inf, math.inf))
-            if not lo <= value <= hi:
-                raise ValueError(f"pinned {name}={value} outside bounds [{lo}, {hi}]")
-
-    @property
-    def free_names(self) -> tuple[str, ...]:
-        return tuple(name for name in self.bounds if name not in self.pinned)
 
     @property
     def prior_mean_s(self) -> float:
@@ -120,29 +100,27 @@ class ChainSamples:
 
 
 def log_diff(series) -> np.ndarray:
-    """Day-over-day log increments with the one-person floor shared with the
-    fit loss; output has length n-1."""
+    """Day-over-day log increments along the last axis, with the one-person
+    floor shared with the fit loss; that axis shrinks by one."""
     values = np.maximum(np.asarray(series, dtype=float), EPSILON_PERSONS)
     return np.diff(np.log(values))
 
 
-def _window_log_diffs(observed, window: FitWindow, components) -> np.ndarray:
-    chunk = observed.window(window.t_begin, window.t_end)
-    return np.stack([log_diff(chunk.series(name)) for name in components])
+def _window_log_diffs(observed: ObservedSeries, window: FitWindow) -> np.ndarray:
+    """log_diff of active, recovered and deceased over the window, (3, n_days - 1)."""
+    return log_diff(observed.window(window.t_begin, window.t_end).values[:3])
 
 
-def _model_log_diffs(params: ModelParams, dataset: Dataset, window: FitWindow,
-                     components) -> np.ndarray:
+def _model_log_diffs(params: ModelParams, dataset: Dataset, window: FitWindow) -> np.ndarray:
     config = dataset.config
     predicted = simulate_observed(params, config.population_n, config.init_observed,
-                                  config.a0_fatal_fraction, window.t_end,
-                                  config.dt).window(window.t_begin, window.t_end)
-    return np.stack([log_diff(predicted.series(name)) for name in components])
+                                  config.a0_fatal_fraction, window.t_end, config.dt)
+    return _window_log_diffs(predicted, window)
 
 
 def _residual_ss(params: ModelParams, dataset: Dataset, window: FitWindow,
-                 components, data_z: np.ndarray) -> float:
-    model_z = _model_log_diffs(params, dataset, window, components)
+                 data_z: np.ndarray) -> float:
+    model_z = _model_log_diffs(params, dataset, window)
     return float(((model_z - data_z) ** 2).sum())
 
 
@@ -151,25 +129,24 @@ def _gaussian_loglik(residual_ss: float, count: int, s: float) -> float:
 
 
 def log_likelihood(dataset: Dataset, params: ModelParams, s: float,
-                   window: FitWindow, components=DEFAULT_COMPONENTS) -> float:
+                   window: FitWindow) -> float:
     """Gaussian log-likelihood of the reported log-increments under the model.
 
-    Sums over the component set and over t in (t_begin, t_end].  Returns -inf
-    when the candidate diverges the solver.
+    Sums over active, recovered and deceased and over t in (t_begin, t_end].
+    Returns -inf when the candidate diverges the solver.
     """
     if s <= 0:
         raise ValueError(f"variance s must be > 0, got {s}")
-    data_z = _window_log_diffs(dataset.observed, window, components)
+    data_z = _window_log_diffs(dataset.observed, window)
     try:
-        residual = _residual_ss(params, dataset, window, components, data_z)
+        residual = _residual_ss(params, dataset, window, data_z)
     except DivergenceError:
         return -math.inf
     return _gaussian_loglik(residual, data_z.size, s)
 
 
 def concentrated_neg_log_likelihood(dataset: Dataset, params: ModelParams,
-                                    window: FitWindow,
-                                    components=DEFAULT_COMPONENTS) -> float:
+                                    window: FitWindow) -> float:
     """Negative log-likelihood with the noise variance maximized out.
 
     For residual sum R over n log-increment residuals the likelihood peaks at
@@ -177,18 +154,14 @@ def concentrated_neg_log_likelihood(dataset: Dataset, params: ModelParams,
     objective in the same units the sampler targets.  Returns +inf when the
     candidate diverges the solver.
     """
-    data_z = _window_log_diffs(dataset.observed, window, components)
+    data_z = _window_log_diffs(dataset.observed, window)
     try:
-        residual = _residual_ss(params, dataset, window, components, data_z)
+        residual = _residual_ss(params, dataset, window, data_z)
     except DivergenceError:
         return math.inf
     count = data_z.size
     residual = max(residual, np.finfo(float).tiny * count)
     return 0.5 * count * (math.log(2.0 * math.pi * residual / count) + 1.0)
-
-
-def _truncation_mass(center: float, sd: float, lo: float, hi: float) -> float:
-    return float(ndtr((hi - center) / sd) - ndtr((lo - center) / sd))
 
 
 def propose(theta_prev: dict[str, float], config: McmcConfig, rng) -> tuple[dict[str, float], float]:
@@ -200,24 +173,24 @@ def propose(theta_prev: dict[str, float], config: McmcConfig, rng) -> tuple[dict
     the truncation mass of the kernel centered at c; adding it to the
     log-likelihood difference restores detailed balance near the bounds.
     """
+    space = config.space
+    names = space.free_names
+    bounds = space.free_bounds()
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    centers = space.extract_free(theta_prev)
+    for name, center, a, b in zip(names, centers, lo, hi):
+        if not a <= center <= b:
+            raise ValueError(f"{name}={center} outside bounds [{a}, {b}]")
+    sd = np.array([math.sqrt(config.proposal_variances[name]) for name in names])
+    draws, mass_prev = truncated_normal(centers, sd, lo, hi, rng.random(len(names)))
+    mass_new = ndtr((hi - draws) / sd) - ndtr((lo - draws) / sd)
     theta_new = dict(theta_prev)
     correction = 0.0
-    for name in config.free_names:
-        lo, hi = config.bounds[name]
-        center = theta_prev[name]
-        if not lo <= center <= hi:
-            raise ValueError(f"{name}={center} outside bounds [{lo}, {hi}]")
-        if lo == hi:
-            theta_new[name] = lo
-            continue
-        sd = math.sqrt(config.proposal_variances[name])
-        a = float(ndtr((lo - center) / sd))
-        b = float(ndtr((hi - center) / sd))
-        draw = center + sd * float(ndtri(rng.uniform(a, b)))
-        draw = min(max(draw, lo), hi)
+    for name, draw, before, after in zip(names, draws.tolist(), mass_prev.tolist(),
+                                         mass_new.tolist()):
         theta_new[name] = draw
-        correction += math.log(_truncation_mass(center, sd, lo, hi))
-        correction -= math.log(_truncation_mass(draw, sd, lo, hi))
+        correction += math.log(before)
+        correction -= math.log(after)
     return theta_new, correction
 
 
@@ -237,8 +210,8 @@ def draw_inverse_gamma(u_k: float, v_k: float, rng) -> float:
 
 def sample_s(params: ModelParams, dataset: Dataset, config: McmcConfig, rng) -> float:
     """Exact Gibbs draw of s from its inverse-gamma conditional."""
-    data_z = _window_log_diffs(dataset.observed, config.window, config.components)
-    residual = _residual_ss(params, dataset, config.window, config.components, data_z)
+    data_z = _window_log_diffs(dataset.observed, config.window)
+    residual = _residual_ss(params, dataset, config.window, data_z)
     u_k, v_k = variance_posterior(residual, config.window, config)
     return draw_inverse_gamma(u_k, v_k, rng)
 
@@ -246,14 +219,6 @@ def sample_s(params: ModelParams, dataset: Dataset, config: McmcConfig, rng) -> 
 def _log_s_prior(s: float, config: McmcConfig) -> float:
     u, v = config.u, config.v
     return u * math.log(v) - float(gammaln(u)) - (u + 1.0) * math.log(s) - v / s
-
-
-def _uniform_start(config: McmcConfig, rng) -> dict[str, float]:
-    theta = dict(config.pinned)
-    for name in config.free_names:
-        lo, hi = config.bounds[name]
-        theta[name] = lo if lo == hi else rng.uniform(lo, hi)
-    return theta
 
 
 def run_chain(dataset: Dataset, config: McmcConfig, chain_id: int = 0,
@@ -275,7 +240,8 @@ def run_chain(dataset: Dataset, config: McmcConfig, chain_id: int = 0,
         ChainSamples with burn-in discarded and thinning applied.
     """
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, chain_id)))
-    names = config.free_names
+    space = config.space
+    names = space.free_names
     window = config.window
 
     use_model = log_lik_fn is None
@@ -283,17 +249,18 @@ def run_chain(dataset: Dataset, config: McmcConfig, chain_id: int = 0,
         raise ValueError("gibbs_update_s requires the model likelihood; "
                          "pass gibbs_update_s=False with log_lik_fn")
     if use_model:
-        data_z = _window_log_diffs(dataset.observed, window, config.components)
+        data_z = _window_log_diffs(dataset.observed, window)
         count = data_z.size
 
         def residual_of(theta: dict) -> float:
             try:
                 return _residual_ss(ModelParams.from_dict(theta), dataset, window,
-                                    config.components, data_z)
+                                    data_z)
             except DivergenceError:
                 return math.inf
 
-    theta = _uniform_start(config, rng)
+    bounds = space.free_bounds()
+    theta = space.assemble(rng.uniform(bounds[:, 0], bounds[:, 1]))
     s = config.prior_mean_s
     if use_model:
         residual = residual_of(theta)
@@ -346,7 +313,7 @@ def run_chain(dataset: Dataset, config: McmcConfig, chain_id: int = 0,
 
     return ChainSamples(
         param_names=names,
-        pinned=dict(config.pinned),
+        pinned=dict(space.pinned),
         thetas=thetas,
         s=s_draws,
         log_post=log_posts,

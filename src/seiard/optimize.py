@@ -156,6 +156,22 @@ class _Recorder:
         )
 
 
+def truncated_normal(centers, sd, lo, hi, u):
+    """Inverse-CDF draws from Normal(centers, sd) truncated to [lo, hi].
+
+    All arguments broadcast; u holds one uniform variate in [0, 1) per draw.
+    rng.uniform(a, b) is a + (b - a) * rng.random() bit for bit, so variates
+    from rng.random() give the draws a per-draw rng.uniform(a, b) gave.
+
+    Returns (draws, mass_at_centers): the draws, clipped into [lo, hi]
+    against rounding, and the mass each kernel keeps inside [lo, hi].
+    """
+    a = ndtr((lo - centers) / sd)
+    b = ndtr((hi - centers) / sd)
+    mass = b - a
+    return np.clip(centers + sd * ndtri(a + mass * u), lo, hi), mass
+
+
 def _truncated_normal_logpdf(x, centers, bandwidth, lo, hi):
     """Log-density of an equal-weight mixture of truncated Gaussians plus one
     uniform component over [lo, hi], for each of D dimensions at once.
@@ -211,10 +227,7 @@ def _tpe_propose(rng, recorder: _Recorder) -> np.ndarray:
     # (D, 1) columns broadcast against the (D, K) cells
     lo_c, hi_c, bw_c = lo[:, None], hi[:, None], bw_good[:, None]
     centers = np.take_along_axis(good.T, np.minimum(picks, len(good) - 1), axis=1)
-    # inverse-CDF draw from the kernel truncated to [lo, hi]
-    a = ndtr((lo_c - centers) / bw_c)
-    b = ndtr((hi_c - centers) / bw_c)
-    kernel = np.clip(centers + bw_c * ndtri(a + (b - a) * variates), lo_c, hi_c)
+    kernel, _ = truncated_normal(centers, bw_c, lo_c, hi_c, variates)
     uniform = lo_c + (hi_c - lo_c) * variates
     cells = np.where(picks == len(good), uniform, kernel)
 

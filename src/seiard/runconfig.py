@@ -199,9 +199,10 @@ def validate(config: dict) -> None:
             if name not in PARAM_NAMES:
                 raise ConfigError(f"{path}: unknown parameter {name!r}")
     window = config["window"]
-    if len(window) != 2 or not window[0] < window[1]:
-        raise ConfigError(f"window must be [t_begin, t_end] with "
-                          f"t_begin < t_end, got {window}")
+    if not (isinstance(window, list) and len(window) == 2
+            and all(isinstance(t, int) for t in window) and window[0] < window[1]):
+        raise ConfigError(f"window must be two integers [t_begin, t_end] "
+                          f"with t_begin < t_end, got {window!r}")
     if window[1] > config["dataset"]["horizon"]:
         raise ConfigError("window end exceeds the dataset horizon")
     if config["fit"]["method"] not in METHODS:
@@ -210,8 +211,11 @@ def validate(config: dict) -> None:
         raise ConfigError(f"forecast.method must be one of {METHODS}")
     if config["profile"]["threshold"] not in THRESHOLD_MODES:
         raise ConfigError(f"profile.threshold must be one of {THRESHOLD_MODES}")
-    free = set(free_param_names(config))
-    for name in config["profile"]["params"]:
+    params = config["profile"]["params"]
+    if not (isinstance(params, list) and all(isinstance(n, str) for n in params)):
+        raise ConfigError(f"profile.params must be a list of names, got {params!r}")
+    free = build_space(config).free_names
+    for name in params:
         if name not in free:
             raise ConfigError(f"profile.params: {name!r} is not free under "
                               f"variant {config['variant']!r}")
@@ -221,10 +225,6 @@ def variant_pins(config: dict) -> dict[str, float]:
     if config["variant"] == "original":
         return {}
     return {name: float(value) for name, value in config["pins"].items()}
-
-
-def free_param_names(config: dict) -> list[str]:
-    return defaults.free_names(variant_pins(config))
 
 
 def build_space(config: dict) -> SearchSpace:
@@ -261,7 +261,7 @@ def build_mcmc_config(config: dict, window: FitWindow | None = None,
         raise ConfigError("mcmc.seed unresolved; call resolve_config first")
     return McmcConfig(
         window=window if window is not None else build_window(config),
-        pinned=variant_pins(config),
+        space=build_space(config),
         proposal_variances=dict(m["proposal_variances"]),
         u=float(m["u"]),
         v=float(m["v"]),

@@ -12,9 +12,6 @@ from . import defaults
 from .artifacts import write_json
 from .dynamics import ModelParams, ObservedSeries, simulate_observed
 
-# Series order used for per-series RNG stream derivation.
-NOISY_SERIES = ("active", "recovered", "deceased")
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -106,20 +103,13 @@ def generate(config: DatasetConfig) -> Dataset:
     if config.noise.sigma == 0.0:
         return Dataset(observed=clean, config=config)
 
-    noisy = {}
-    for index, name in enumerate(NOISY_SERIES):
-        values = clean.series(name).copy()
-        for day in range(len(values)):
-            values[day] *= np.exp(_noise_draw(config.seed, index, day, config.noise.sigma))
-        noisy[name] = values
+    values = clean.values.copy()
+    # active, recovered and deceased are noisy; a row's index seeds its streams
+    for index, row in enumerate(values[:3]):
+        for day in range(len(row)):
+            row[day] *= np.exp(_noise_draw(config.seed, index, day, config.noise.sigma))
     # reported cumulative counts never decrease
-    noisy["recovered"] = np.maximum.accumulate(noisy["recovered"])
-    noisy["deceased"] = np.maximum.accumulate(noisy["deceased"])
-    observed = ObservedSeries(
-        times=clean.times.copy(),
-        active=noisy["active"],
-        recovered=noisy["recovered"],
-        deceased=noisy["deceased"],
-        total=noisy["active"] + noisy["recovered"] + noisy["deceased"],
-    )
-    return Dataset(observed=observed, config=config)
+    values[1:3] = np.maximum.accumulate(values[1:3], axis=1)
+    values[3] = values[0] + values[1] + values[2]
+    return Dataset(observed=ObservedSeries(times=clean.times, values=values),
+                   config=config)

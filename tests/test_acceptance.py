@@ -80,7 +80,7 @@ def canonical_dataset():
 
 def _timed_chains(dataset, pins, window):
     t0 = time.perf_counter()
-    chains = run_chains(dataset, McmcConfig(window=window, pinned=dict(pins),
+    chains = run_chains(dataset, McmcConfig(window=window, space=space_for(pins),
                                             seed=0))
     return chains, time.perf_counter() - t0
 
@@ -263,7 +263,8 @@ def test_criterion_09_sampler_calibration_shims(noiseless_dataset):
     def gaussian(theta, s):
         return -0.5 * ((theta["beta"] - mu0) / sd0) ** 2
 
-    config = McmcConfig(window=FitWindow(0, 7), bounds={"beta": (0.0, 1.0)},
+    config = McmcConfig(window=FitWindow(0, 7),
+                        space=SearchSpace({"beta": (0.0, 1.0)}),
                         proposal_variances={"beta": 0.1},
                         n_samples=30_000, n_burn=5_000, thin=5, seed=42)
     draws = run_chain(noiseless_dataset, config, log_lik_fn=gaussian,
@@ -290,7 +291,8 @@ def test_criterion_09_sampler_calibration_shims(noiseless_dataset):
                    / quad(lambda x: np.exp(-x) * trunc_mass(x), lo, hi)[0])
 
     def boundary_mean(corrected, seed):
-        cfg = McmcConfig(window=FitWindow(0, 7), bounds={"x": (lo, hi)},
+        cfg = McmcConfig(window=FitWindow(0, 7),
+                         space=SearchSpace({"x": (lo, hi)}),
                          proposal_variances={"x": sd ** 2},
                          n_samples=40_000, n_burn=4_000, thin=4, seed=seed,
                          hastings_correction=corrected)
@@ -383,13 +385,13 @@ def test_criterion_13_structural_rank_screen():
     month = list(range(1, 29))
     long_run = list(range(1, 201))
     reduced = sensitivity_matrix(TRUTH, month,
-                                 free_names=defaults.free_names(
-                                     defaults.REPARAM_PINS))
+                                 free_names=space_for(
+                                     defaults.REPARAM_PINS).free_names)
     full = sensitivity_matrix(TRUTH, month)
     full_long = sensitivity_matrix(TRUTH, long_run)
     reduced_long = sensitivity_matrix(TRUTH, long_run,
-                                      free_names=defaults.free_names(
-                                          defaults.REPARAM_PINS))
+                                      free_names=space_for(
+                                          defaults.REPARAM_PINS).free_names)
 
     reduced_full_rank = (reduced.numeric_rank == 5
                          and reduced_long.numeric_rank == 5)

@@ -12,6 +12,7 @@ import pytest
 from seiard import defaults, runconfig
 from seiard.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from seiard.mcmc import run_chains
+from seiard.optimize import SearchSpace
 from seiard.runconfig import ConfigError
 
 
@@ -73,6 +74,9 @@ class TestConfig:
             ("pins.zeta=1.0", "unknown parameter"),
             ("threads=0", "threads"),
             ('threads="2"', "threads"),
+            ("window=5", "window"),
+            ('window=["a","b"]', "window"),
+            ('profile.params="beta"', "list of names"),
         ]:
             config = runconfig.load_config()
             runconfig.apply_set(config, assignment)
@@ -116,6 +120,10 @@ class TestSimulate:
 
 
 class TestFit:
+    def test_malformed_window_is_usage_error(self, tmp_path):
+        code = run_cli("fit", "--out", str(tmp_path / "r"), "--set", "window=5")
+        assert code == EXIT_USAGE
+
     def test_reparam_noiseless_fit_is_tight(self, tmp_path):
         out = tmp_path / "fit"
         code = run_cli("fit", "--out", str(out), "--set", "fit.seed=1")
@@ -250,7 +258,8 @@ class TestMcmc:
                        "--set", "mcmc.n_chains=2")
         assert code == EXIT_OK
         posterior = read_json(out / "posterior.json")
-        free = set(defaults.free_names(defaults.REPARAM_PINS))
+        free = set(SearchSpace(dict(defaults.SEARCH_BOUNDS),
+                               pinned=defaults.REPARAM_PINS).free_names)
         assert set(posterior["params"]) == free
         for name in free:
             assert posterior["params"][name]["rhat"] is not None

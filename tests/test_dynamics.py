@@ -380,7 +380,8 @@ class TestBatchKernel:
         assert diverged.tolist() == [False, False, True]
         for b in range(2):
             series = simulate_observed(params[b], N, defaults.INIT_OBSERVED, None, 30, 0.25)
-            want = np.array([series.active, series.recovered, series.deceased, series.total])
+            want = np.array([series.series("active"), series.series("recovered"),
+                             series.series("deceased"), series.series("total")])
             assert observed[b].tobytes() == want.tobytes()
 
     def test_rejects_bad_input(self):
@@ -435,29 +436,32 @@ class TestObserve:
     def test_mapping_identities(self):
         traj = integrate(TRUE, default_init(), 50)
         obs = observe(traj)
-        assert (obs.active == traj.compartment("a_recov") + traj.compartment("a_fatal")).all()
-        assert (obs.recovered == traj.compartment("r")).all()
-        assert (obs.deceased == traj.compartment("d")).all()
-        assert (obs.total == obs.active + obs.recovered + obs.deceased).all()
+        assert (obs.series("active")
+                == traj.compartment("a_recov") + traj.compartment("a_fatal")).all()
+        assert (obs.series("recovered") == traj.compartment("r")).all()
+        assert (obs.series("deceased") == traj.compartment("d")).all()
+        assert (obs.series("total") == obs.series("active") + obs.series("recovered")
+                + obs.series("deceased")).all()
 
     def test_single_state_observation(self):
         state = np.array([100.0, 9.0, 8.0, 5.0, 2.0, 11.0, 3.0])
         traj = integrate(TRUE, state, 1)
         obs = observe(traj)
-        assert obs.active[0] == 7.0
-        assert obs.recovered[0] == 11.0
-        assert obs.deceased[0] == 3.0
-        assert obs.total[0] == 21.0
+        assert obs.series("active")[0] == 7.0
+        assert obs.series("recovered")[0] == 11.0
+        assert obs.series("deceased")[0] == 3.0
+        assert obs.series("total")[0] == 21.0
 
     def test_scenario_day_zero(self):
         obs = observe(integrate(TRUE, default_init(), 10))
-        assert (obs.active[0], obs.recovered[0], obs.deceased[0], obs.total[0]) == (5.0, 0.0, 0.0, 5.0)
+        assert (obs.series("active")[0], obs.series("recovered")[0],
+                obs.series("deceased")[0], obs.series("total")[0]) == (5.0, 0.0, 0.0, 5.0)
 
     def test_windowl_slicing(self):
         obs = observe(integrate(TRUE, default_init(), 50))
         win = obs.window(10, 20)
         assert win.times.tolist() == list(range(10, 21))
-        assert (win.active == obs.active[10:21]).all()
+        assert (win.series("active") == obs.series("active")[10:21]).all()
         with pytest.raises(ValueError):
             obs.window(10, 60)
 
@@ -469,8 +473,8 @@ class TestObserve:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "active", "recovered", "deceased", "total"]
         back = np.array(rows[1:], dtype=float)
-        want = np.column_stack([obs.times, obs.active, obs.recovered,
-                                obs.deceased, obs.total])
+        want = np.column_stack([obs.times, obs.series("active"), obs.series("recovered"),
+                                obs.series("deceased"), obs.series("total")])
         assert back.tobytes() == want.tobytes()
 
 

@@ -5,10 +5,14 @@ import pytest
 
 import seiard.loss as loss_module
 from seiard import defaults
-from seiard.dynamics import DivergenceError, ModelParams, simulate_observed
+from seiard.dynamics import (
+    OBSERVED_SERIES,
+    DivergenceError,
+    ModelParams,
+    simulate_observed,
+)
 from seiard.loss import (
     EPSILON_PERSONS,
-    LOSS_SERIES,
     FitWindow,
     fit_loss,
     fit_loss_batch,
@@ -139,7 +143,7 @@ def reference_fit_loss(dataset, params, window):
     predicted = simulated.window(window.t_begin, window.t_end)
     reported = dataset.observed.window(window.t_begin, window.t_end)
     return float(np.mean([reference_mape(reported.series(name), predicted.series(name))
-                          for name in LOSS_SERIES]))
+                          for name in OBSERVED_SERIES]))
 
 
 class TestFitLossBatch:

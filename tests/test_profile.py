@@ -195,7 +195,8 @@ class TestThresholds:
         dataset = synthdata.generate(synthdata.default_config(horizon=40))
         config = McmcConfig(window=FitWindow(0, 7), n_samples=60, n_burn=20,
                             thin=4, n_chains=2, seed=5,
-                            pinned=dict(defaults.REPARAM_PINS))
+                            space=SearchSpace(dict(defaults.SEARCH_BOUNDS),
+                                              pinned=dict(defaults.REPARAM_PINS)))
         chains = run_chains(dataset, config)
         threshold, losses = posterior_loss_threshold(dataset, chains,
                                                      FitWindow(0, 7), alpha=0.9)
@@ -208,7 +209,8 @@ class TestThresholds:
         dataset = synthdata.generate(synthdata.default_config(horizon=40))
         config = McmcConfig(window=FitWindow(0, 7), n_samples=60, n_burn=10,
                             thin=1, n_chains=2, seed=5,
-                            pinned=dict(defaults.REPARAM_PINS))
+                            space=SearchSpace(dict(defaults.SEARCH_BOUNDS),
+                                              pinned=dict(defaults.REPARAM_PINS)))
         chains = run_chains(dataset, config)
         t1, losses = posterior_loss_threshold(dataset, chains, FitWindow(0, 7),
                                               max_draws=30, seed=8)

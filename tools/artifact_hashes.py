@@ -47,6 +47,7 @@ RUNS = (
                            "--set", 'profile.params=["beta","p_fatal"]')),
     ("profile-threads", ("profile", *NOISY, *SMALL_PROFILE, "--threads", "2")),
     ("mcmc", ("mcmc", *NOISY, *SMALL_MCMC)),
+    ("mcmc-original", ("mcmc", *NOISY, *SMALL_MCMC, "--set", "variant=original")),
     ("report", ("report",)),
     ("report-original", ("report", "--set", "variant=original")),
     ("report-original-threads", ("report", "--set", "variant=original",
