@@ -35,11 +35,8 @@ for seed in args.seeds:
         result = minimize(objective, space, budget=args.budget, seed=seed,
                           batch_objective=batch_objective)
         params = ModelParams.from_dict(result.best_params)
-        config = dataset.config
-        predicted = simulate_observed(params, config.population_n,
-                                      config.init_observed,
-                                      config.a0_fatal_fraction,
-                                      config.horizon, config.dt)
+        predicted = simulate_observed(params, dataset.config,
+                                      dataset.config.horizon)
         total = predicted.series("total")
         for h in args.horizons:
             span = slice(window.t_begin, h + 1)

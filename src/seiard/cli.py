@@ -178,10 +178,7 @@ def cmd_report(resolved: dict, out: Path) -> None:
     report = sensitivity_matrix(
         point, times, rel_step=float(section["rel_step"]),
         free_names=runconfig.build_space(resolved).free_names,
-        population_n=dataset_config.population_n,
-        init_observed=dataset_config.init_observed,
-        a0_fatal_fraction=dataset_config.a0_fatal_fraction,
-        dt=dataset_config.dt)
+        scenario=dataset_config)
     payload = report.to_dict()
     payload["classification"] = structural_verdict(report)
     payload["variant"] = resolved["variant"]
@@ -190,10 +187,7 @@ def cmd_report(resolved: dict, out: Path) -> None:
 
 def _forecast_mape_curve(dataset, params: ModelParams, window: FitWindow,
                          horizons: list[int]) -> dict[int, float]:
-    config = dataset.config
-    predicted = simulate_observed(params, config.population_n,
-                                  config.init_observed, config.a0_fatal_fraction,
-                                  config.horizon, config.dt)
+    predicted = simulate_observed(params, dataset.config, dataset.config.horizon)
     result = {}
     for h in horizons:
         pred = predicted.window(window.t_begin, h).series("total")

@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .artifacts import write_csv
+
+if TYPE_CHECKING:
+    from .synthdata import DatasetConfig
 
 COMPARTMENTS = ("s", "e", "i", "a_recov", "a_fatal", "r", "d")
 PARAM_NAMES = ("beta", "t_inc", "t_inf", "t_recov", "t_fatal", "p_fatal", "e0", "i0")
@@ -23,6 +27,12 @@ OBSERVED_SERIES = ("active", "recovered", "deceased", "total")
 # Dips below zero smaller than this (persons) are floating-point noise and get
 # clamped; anything larger means the solve actually went bad.
 NEGATIVE_CLAMP = 1e-9
+
+# simulate_observed_batch solves fewer vectors than this one by one.  The
+# batched kernel costs about 12 ms per 28 days however few columns it has, a
+# scalar solve about 0.6 ms; the two break even near 20 vectors at 28 and at
+# 112 days alike.
+BATCH_MIN = 20
 
 
 class ParameterDomainError(ValueError):
@@ -459,37 +469,51 @@ def build_initial_state(params: ModelParams, population_n: float,
                      fraction * a0, r0, d0], dtype=float)
 
 
-def simulate_observed(params: ModelParams, population_n: float,
-                      init_observed: tuple[float, float, float],
-                      a0_fatal_fraction: float | None, horizon: int,
-                      dt: float = 0.1) -> ObservedSeries:
+def simulate_observed(params: ModelParams, scenario: DatasetConfig,
+                      horizon: int) -> ObservedSeries:
     """Reportable series on days 0..horizon for one parameter vector.
 
+    scenario supplies population_n, init_observed, a0_fatal_fraction and dt.
     The day-0 state comes from build_initial_state, the solve from integrate
-    and the series from observe; this is the one path from parameters to
-    observed counts.  Raises what those three raise, notably DivergenceError.
+    and the series from observe; this and simulate_observed_batch are the one
+    path from parameters to observed counts.  Raises what those three raise,
+    notably DivergenceError.
     """
-    init = build_initial_state(params, population_n, init_observed, a0_fatal_fraction)
-    return observe(integrate(params, init, horizon, dt))
+    init = build_initial_state(params, scenario.population_n,
+                               scenario.init_observed, scenario.a0_fatal_fraction)
+    return observe(integrate(params, init, horizon, scenario.dt))
 
 
-def simulate_observed_batch(params, population_n: float,
-                            init_observed: tuple[float, float, float],
-                            a0_fatal_fraction: float | None, horizon: int,
-                            dt: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
+def simulate_observed_batch(params, scenario: DatasetConfig,
+                            horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """simulate_observed for a sequence of B parameter vectors at once.
 
     Returns (observed, diverged): observed has shape (B, 4, horizon + 1),
     one row per OBSERVED_SERIES, and observed[b] is bit-identical to the
     series simulate_observed gives for params[b]; diverged marks the
-    candidates for which simulate_observed raises DivergenceError.  Raises
+    candidates for which simulate_observed raises DivergenceError, and their
+    series are zeros.  From BATCH_MIN vectors on they are solved together by
+    integrate_batch; fewer are solved one by one, which is faster.  Raises
     what build_initial_state raises.
     """
-    init = np.array([build_initial_state(p, population_n, init_observed,
-                                         a0_fatal_fraction)
-                     for p in params], dtype=float).reshape(-1, 7).T
-    states, diverged = integrate_batch(params, init, horizon, dt)
-    return np.ascontiguousarray(_observed_rows(states).transpose(2, 0, 1)), diverged
+    params = list(params)
+    if len(params) < BATCH_MIN:
+        observed = np.zeros((len(params), len(OBSERVED_SERIES), horizon + 1))
+        diverged = np.zeros(len(params), dtype=bool)
+        for b, p in enumerate(params):
+            try:
+                observed[b] = simulate_observed(p, scenario, horizon).values
+            except DivergenceError:
+                diverged[b] = True
+        return observed, diverged
+    init = np.array([build_initial_state(p, scenario.population_n,
+                                         scenario.init_observed,
+                                         scenario.a0_fatal_fraction)
+                     for p in params], dtype=float).T
+    states, diverged = integrate_batch(params, init, horizon, scenario.dt)
+    observed = np.ascontiguousarray(_observed_rows(states).transpose(2, 0, 1))
+    observed[diverged] = 0.0
+    return observed, diverged
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,8 @@ from .synthdata import Dataset
 # near-empty series cannot blow the percentage error up.
 EPSILON_PERSONS = 1.0
 
-# fit_loss_batch solves fewer candidates than this one by one.  The batched
-# kernel costs about 12 ms per 28 days however few columns it has, a scalar
-# solve about 0.6 ms; the two break even near 20 candidates at 28 and at 112
-# days alike.
-BATCH_MIN = 20
-# Columns per batched solve, which bounds its (horizon + 1, 7, columns) array.
+# Vectors per simulate_observed_batch call, which bounds its
+# (horizon + 1, 7, columns) array.
 BATCH_COLUMNS = 256
 
 
@@ -87,23 +83,18 @@ def _mean_mape(reported: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     return (first + second + third + fourth) / 4
 
 
-def fit_loss(dataset: Dataset, params: ModelParams, window: FitWindow,
-             dt: float | None = None) -> float:
+def fit_loss(dataset: Dataset, params: ModelParams, window: FitWindow) -> float:
     """Average MAPE of the three reported series plus their total over the
     window, for a candidate parameter vector.
 
-    Simulation always starts at day 0 with the dataset's observed initial
-    counts and the candidate's e0/i0, so the window only selects which days
-    are scored.  dt defaults to the step the dataset was generated with.
-    Returns +inf when the candidate makes the solver diverge.
+    Simulation always starts at day 0 in the dataset's scenario (its observed
+    initial counts, population and step) with the candidate's e0/i0, so the
+    window only selects which days are scored.  Returns +inf when the
+    candidate makes the solver diverge.
     """
     _check_window(dataset, window)
-    config = dataset.config
     try:
-        simulated = simulate_observed(params, config.population_n,
-                                      config.init_observed,
-                                      config.a0_fatal_fraction, window.t_end,
-                                      config.dt if dt is None else dt)
+        simulated = simulate_observed(params, dataset.config, window.t_end)
     except DivergenceError:
         return math.inf
     return float(_mean_mape(
@@ -111,29 +102,21 @@ def fit_loss(dataset: Dataset, params: ModelParams, window: FitWindow,
         simulated.values[:, window.t_begin:]))
 
 
-def fit_loss_batch(dataset: Dataset, params, window: FitWindow,
-                   dt: float | None = None) -> np.ndarray:
+def fit_loss_batch(dataset: Dataset, params, window: FitWindow) -> np.ndarray:
     """fit_loss for each of a sequence of parameter vectors, as an array.
 
     Every entry is bit-equal to fit_loss for that vector, +inf where its
-    solve diverges.  From BATCH_MIN vectors on they are solved together by
-    simulate_observed_batch, BATCH_COLUMNS at a time; fewer are solved one
-    by one, which is faster.
+    solve diverges.  The vectors go to simulate_observed_batch BATCH_COLUMNS
+    at a time.
     """
     params = list(params)
-    if len(params) < BATCH_MIN:
-        return np.array([fit_loss(dataset, p, window, dt) for p in params],
-                        dtype=float)
     _check_window(dataset, window)
-    config = dataset.config
     reported = dataset.observed.window(window.t_begin, window.t_end).values
     losses = np.empty(len(params))
     for start in range(0, len(params), BATCH_COLUMNS):
         chunk = params[start:start + BATCH_COLUMNS]
-        observed, diverged = simulate_observed_batch(
-            chunk, config.population_n, config.init_observed,
-            config.a0_fatal_fraction, window.t_end,
-            config.dt if dt is None else dt)
+        observed, diverged = simulate_observed_batch(chunk, dataset.config,
+                                                     window.t_end)
         values = _mean_mape(reported, observed[:, :, window.t_begin:])
         values[diverged] = math.inf
         losses[start:start + len(chunk)] = values

@@ -112,9 +112,7 @@ def _window_log_diffs(observed: ObservedSeries, window: FitWindow) -> np.ndarray
 
 
 def _model_log_diffs(params: ModelParams, dataset: Dataset, window: FitWindow) -> np.ndarray:
-    config = dataset.config
-    predicted = simulate_observed(params, config.population_n, config.init_observed,
-                                  config.a0_fatal_fraction, window.t_end, config.dt)
+    predicted = simulate_observed(params, dataset.config, window.t_end)
     return _window_log_diffs(predicted, window)
 
 
@@ -206,14 +204,6 @@ def variance_posterior(residual_ss: float, window: FitWindow,
 def draw_inverse_gamma(u_k: float, v_k: float, rng) -> float:
     """One draw from InvGamma(shape u_k, scale v_k); mean is v_k/(u_k - 1)."""
     return float(v_k / rng.gamma(shape=u_k, scale=1.0))
-
-
-def sample_s(params: ModelParams, dataset: Dataset, config: McmcConfig, rng) -> float:
-    """Exact Gibbs draw of s from its inverse-gamma conditional."""
-    data_z = _window_log_diffs(dataset.observed, config.window)
-    residual = _residual_ss(params, dataset, config.window, data_z)
-    u_k, v_k = variance_posterior(residual, config.window, config)
-    return draw_inverse_gamma(u_k, v_k, rng)
 
 
 def _log_s_prior(s: float, config: McmcConfig) -> float:

@@ -16,6 +16,7 @@ from . import defaults
 from .artifacts import write_csv, write_json
 from .loss import FitWindow, fit_loss_batch, fit_objective
 from .optimize import NoFeasiblePointError, SearchSpace, minimize
+from .posterior import loss_quantile
 from .synthdata import Dataset
 
 LOG_SPACED_PARAMS = ("t_inc", "t_inf", "t_recov", "t_fatal")
@@ -339,8 +340,6 @@ def posterior_loss_threshold(dataset: Dataset, chains, window: FitWindow,
     """Default threshold mode: empirical alpha-quantile of the fit loss
     evaluated at posterior draws (subsampled without replacement when the
     pooled chains exceed max_draws)."""
-    from .posterior import loss_quantile
-
     draws = []
     for chain in chains:
         draws.extend(chain.iter_draws())

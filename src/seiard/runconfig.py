@@ -106,7 +106,7 @@ def _merge(base: dict, override: dict, path: str = "") -> None:
             base[key] = copy.deepcopy(value)
 
 
-def load_config(path=None, overrides: dict | None = None) -> dict:
+def load_config(path=None) -> dict:
     """Defaults, optionally overlaid with a JSON file.
 
     The file may be either a plain configuration object or a saved manifest
@@ -122,8 +122,6 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
         if set(data) == {"command", "config"}:
             data = data["config"]
         _merge(config, data)
-    if overrides:
-        _merge(config, overrides)
     return config
 
 
@@ -214,6 +212,24 @@ def validate(config: dict) -> None:
     params = config["profile"]["params"]
     if not (isinstance(params, list) and all(isinstance(n, str) for n in params)):
         raise ConfigError(f"profile.params must be a list of names, got {params!r}")
+    for path, none_ok in (("forecast.horizons", False), ("forecast.seeds", True),
+                          ("profile.windows", True), ("report.times", True)):
+        section, key = path.split(".")
+        value = config[section][key]
+        if not ((value is None and none_ok) or (
+                isinstance(value, list) and all(isinstance(v, int) for v in value))):
+            raise ConfigError(f"{path} must be a list of integers, got {value!r}")
+    counts = config["dataset"]["init_observed"]
+    if not (isinstance(counts, list) and len(counts) == 3
+            and all(isinstance(v, (int, float)) for v in counts)):
+        raise ConfigError(f"dataset.init_observed must be three numbers "
+                          f"[active, recovered, deceased], got {counts!r}")
+    point = config["report"]["params"]
+    if point is not None and not (
+            isinstance(point, dict) and set(point) == set(PARAM_NAMES)
+            and all(isinstance(v, (int, float)) for v in point.values())):
+        raise ConfigError(f"report.params must map each of {PARAM_NAMES} "
+                          f"to a number, got {point!r}")
     free = build_space(config).free_names
     for name in params:
         if name not in free:
@@ -252,12 +268,9 @@ def build_dataset_config(config: dict) -> DatasetConfig:
     )
 
 
-def build_mcmc_config(config: dict, window: FitWindow | None = None,
-                      seed: int | None = None) -> McmcConfig:
+def build_mcmc_config(config: dict, window: FitWindow | None = None) -> McmcConfig:
     m = config["mcmc"]
-    if seed is None:
-        seed = m["seed"]
-    if seed is None:
+    if m["seed"] is None:
         raise ConfigError("mcmc.seed unresolved; call resolve_config first")
     return McmcConfig(
         window=window if window is not None else build_window(config),
@@ -269,7 +282,7 @@ def build_mcmc_config(config: dict, window: FitWindow | None = None,
         n_burn=int(m["n_burn"]),
         n_chains=int(m["n_chains"]),
         thin=int(m["thin"]),
-        seed=int(seed),
+        seed=int(m["seed"]),
         hastings_correction=bool(m["hastings_correction"]),
     )
 

@@ -16,13 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import defaults
 from .dynamics import (
+    OBSERVED_SERIES,
     PARAM_NAMES,
     DivergenceError,
     ModelParams,
-    simulate_observed,
+    ParameterDomainError,
+    simulate_observed_batch,
 )
+from .synthdata import DatasetConfig, default_config
 
 OBSERVED_FOR_RANK = ("active", "recovered", "deceased")
 DEFAULT_REL_STEP = 1e-4
@@ -89,43 +91,9 @@ def svd_rank(matrix) -> tuple[np.ndarray, int, float, np.ndarray]:
     return singular_values, rank, tolerance, v_rows
 
 
-def _observed_stack(params: ModelParams, times: np.ndarray, population_n: float,
-                    init_observed, a0_fatal_fraction, dt: float) -> np.ndarray:
-    series = simulate_observed(params, population_n, init_observed,
-                               a0_fatal_fraction, int(times.max()), dt)
-    indices = times.astype(int)
-    return np.concatenate([np.asarray(series.series(name))[indices]
-                           for name in OBSERVED_FOR_RANK])
-
-
-def _column(params: ModelParams, name: str, times: np.ndarray, rel_step: float,
-            population_n: float, init_observed, a0_fatal_fraction,
-            dt: float) -> np.ndarray:
-    base = params.as_dict()
-    delta = rel_step * base[name]
-    for sign in (+1.0, -1.0):
-        shifted = dict(base)
-        shifted[name] = base[name] + sign * delta
-        try:
-            stack = _observed_stack(ModelParams.from_dict(shifted), times,
-                                    population_n, init_observed,
-                                    a0_fatal_fraction, dt)
-        except (DivergenceError, ValueError) as err:
-            raise DivergenceError(
-                f"perturbing {name} by {sign * delta:+g} failed: {err}") from err
-        if sign > 0:
-            upper = stack
-        else:
-            lower = stack
-    # delta = rel_step * theta, so this quotient is theta * dy/dtheta
-    return (upper - lower) / (2.0 * rel_step)
-
-
 def sensitivity_matrix(params: ModelParams, times, rel_step: float = DEFAULT_REL_STEP,
-                       free_names=None, population_n: float = defaults.POPULATION_N,
-                       init_observed=defaults.INIT_OBSERVED,
-                       a0_fatal_fraction: float | None = None,
-                       dt: float = 0.1) -> SensitivityReport:
+                       free_names=None,
+                       scenario: DatasetConfig | None = None) -> SensitivityReport:
     """Relative-sensitivity Jacobian of the observations at one point.
 
     Each column is the central difference of the stacked observed series
@@ -137,17 +105,23 @@ def sensitivity_matrix(params: ModelParams, times, rel_step: float = DEFAULT_REL
 
     Args:
         params: evaluation point, strictly interior to the search box.
-        times: non-empty integer observation days (> 0).
+        times: non-empty 1-D integer observation days (> 0).
         rel_step: relative perturbation size.
         free_names: quantities to differentiate; defaults to all 8.
+        scenario: population, observed initial counts, fatal split and step
+            to solve in; defaults to synthdata.default_config().
 
     Returns:
         SensitivityReport with SVD rank at tolerance
         sigma_max * max(shape) * eps * 1e3.
+
+    Raises:
+        DivergenceError: a perturbed vector leaves the parameter domain or
+            its solve diverges; the message names the quantity.
     """
     times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        raise ValueError("times must be non-empty")
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("times must be a non-empty 1-D sequence")
     if np.any(times < 0) or np.any(times != np.round(times)):
         raise ValueError("times must be non-negative integer days")
     if rel_step <= 0:
@@ -160,9 +134,26 @@ def sensitivity_matrix(params: ModelParams, times, rel_step: float = DEFAULT_REL
         if base[name] == 0.0:
             raise ValueError(f"{name} is 0; a relative step cannot perturb it")
 
-    matrix = np.column_stack([
-        _column(params, name, times, rel_step, population_n, init_observed,
-                a0_fatal_fraction, dt) for name in names])
+    # vectors 2j and 2j + 1 move names[j] up and down by delta
+    shifted = []
+    for name in names:
+        delta = rel_step * base[name]
+        for sign in (+1.0, -1.0):
+            try:
+                shifted.append(params.replace(**{name: base[name] + sign * delta}))
+            except ParameterDomainError as err:
+                raise DivergenceError(
+                    f"perturbing {name} by {sign * delta:+g} failed: {err}") from err
+    observed, diverged = simulate_observed_batch(
+        shifted, default_config() if scenario is None else scenario,
+        int(times.max()))
+    if diverged.any():
+        name = names[int(np.argmax(diverged)) // 2]
+        raise DivergenceError(f"perturbing {name} diverged the solve")
+    rows = [OBSERVED_SERIES.index(name) for name in OBSERVED_FOR_RANK]
+    stacks = observed[:, rows][:, :, times.astype(int)].reshape(len(shifted), -1)
+    # delta = rel_step * theta, so each quotient is theta * dy/dtheta
+    matrix = ((stacks[0::2] - stacks[1::2]) / (2.0 * rel_step)).T
 
     singular_values, numeric_rank, tolerance, v_rows = svd_rank(matrix)
     near_null = singular_values <= singular_values[0] * NEAR_NULL_RATIO

@@ -97,9 +97,7 @@ def generate(config: DatasetConfig) -> Dataset:
     deceased) are re-monotonized with a running maximum afterwards, and the
     total is recomputed from the three noisy series.
     """
-    clean = simulate_observed(config.true_params, config.population_n,
-                              config.init_observed, config.a0_fatal_fraction,
-                              config.horizon, config.dt)
+    clean = simulate_observed(config.true_params, config, config.horizon)
     if config.noise.sigma == 0.0:
         return Dataset(observed=clean, config=config)
 

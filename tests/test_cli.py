@@ -77,6 +77,13 @@ class TestConfig:
             ("window=5", "window"),
             ('window=["a","b"]', "window"),
             ('profile.params="beta"', "list of names"),
+            ("forecast.horizons=5", "forecast.horizons"),
+            ("forecast.seeds=5", "forecast.seeds"),
+            ("profile.windows=5", "profile.windows"),
+            ("dataset.init_observed=5", "init_observed"),
+            ("report.times=5", "report.times"),
+            ("report.params=5", "report.params"),
+            ('report.params={"bogus":1}', "report.params"),
         ]:
             config = runconfig.load_config()
             runconfig.apply_set(config, assignment)

@@ -24,6 +24,7 @@ from seiard.dynamics import (
     simulate_observed,
     simulate_observed_batch,
 )
+from seiard.synthdata import default_config
 
 TRUE = defaults.TRUE_PARAMS
 N = defaults.POPULATION_N
@@ -372,17 +373,50 @@ class TestBatchKernel:
             if case_dt == dt:
                 assert diverged[b]
 
-    def test_simulate_observed_batch_matches_simulate_observed(self):
+    def test_simulate_observed_batch_matches_simulate_observed(self, monkeypatch):
+        monkeypatch.setattr(dynamics_module, "BATCH_MIN", 1)
         params = [TRUE, TRUE.replace(beta=0.4, p_fatal=0.1), TRUE.replace(beta=1e300)]
-        observed, diverged = simulate_observed_batch(
-            params, N, defaults.INIT_OBSERVED, None, 30, 0.25)
+        scenario = default_config(population_n=N, dt=0.25)
+        observed, diverged = simulate_observed_batch(params, scenario, 30)
         assert observed.shape == (3, 4, 31)
         assert diverged.tolist() == [False, False, True]
+        assert not observed[2].any()
         for b in range(2):
-            series = simulate_observed(params[b], N, defaults.INIT_OBSERVED, None, 30, 0.25)
+            series = simulate_observed(params[b], scenario, 30)
             want = np.array([series.series("active"), series.series("recovered"),
                              series.series("deceased"), series.series("total")])
             assert observed[b].tobytes() == want.tobytes()
+
+    def test_small_batches_take_the_scalar_path(self, monkeypatch):
+        batched = []
+
+        def spy(*args):
+            batched.append(len(args[0]))
+            return integrate_batch(*args)
+
+        monkeypatch.setattr(dynamics_module, "integrate_batch", spy)
+        scenario = default_config()
+        for size in (0, dynamics_module.BATCH_MIN - 1, dynamics_module.BATCH_MIN):
+            observed, diverged = simulate_observed_batch([TRUE] * size, scenario, 28)
+            assert observed.shape == (size, 4, 29)
+            assert diverged.shape == (size,)
+        assert batched == [dynamics_module.BATCH_MIN]
+
+    @pytest.mark.parametrize("dt", [0.1, 0.5])
+    def test_crossover_changes_no_bytes(self, dt, monkeypatch):
+        rng = np.random.default_rng(3)
+        params = [ModelParams(**{name: float(rng.uniform(lo, hi))
+                                 for name, (lo, hi) in defaults.SEARCH_BOUNDS.items()})
+                  for _ in range(12)]
+        params[4] = TRUE.replace(beta=1e300)
+        scenario = default_config(a0_fatal_fraction=0.5, dt=dt, population_n=2e6)
+        outcomes = []
+        for batch_min in (1, 10**9):
+            monkeypatch.setattr(dynamics_module, "BATCH_MIN", batch_min)
+            observed, diverged = simulate_observed_batch(params, scenario, 40)
+            outcomes.append((observed.tobytes(), diverged.tolist()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] == [b == 4 for b in range(12)]
 
     def test_rejects_bad_input(self):
         init = default_init()[:, None]

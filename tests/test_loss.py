@@ -19,7 +19,7 @@ from seiard.loss import (
     fit_objective,
     mape,
 )
-from seiard.synthdata import NoiseSpec, default_config, generate
+from seiard.synthdata import Dataset, NoiseSpec, default_config, generate
 
 TRUE = defaults.TRUE_PARAMS
 
@@ -116,7 +116,8 @@ class TestFitLoss:
         window = FitWindow(0, 28)
         assert fit_loss(coarse, TRUE, window) == 0.0
         assert fit_loss_batch(coarse, [TRUE] * 25, window).tolist() == [0.0] * 25
-        assert fit_loss(coarse, TRUE, window, dt=0.1) > 0.0
+        fine = Dataset(coarse.observed, coarse.config.replace(dt=0.1))
+        assert fit_loss(fine, TRUE, window) > 0.0
 
 
 def _random_params(rng, n):
@@ -132,12 +133,8 @@ def reference_mape(truth, predicted):
 
 def reference_fit_loss(dataset, params, window):
     """fit_loss as four windowed np.mean MAPEs and np.mean over them."""
-    config = dataset.config
     try:
-        simulated = simulate_observed(params, config.population_n,
-                                      config.init_observed,
-                                      config.a0_fatal_fraction, window.t_end,
-                                      config.dt)
+        simulated = simulate_observed(params, dataset.config, window.t_end)
     except DivergenceError:
         return math.inf
     predicted = simulated.window(window.t_begin, window.t_end)
@@ -154,7 +151,8 @@ class TestFitLossBatch:
     @pytest.mark.parametrize("window", [FitWindow(0, 1), FitWindow(0, 28),
                                         FitWindow(3, 11), FitWindow(10, 120)])
     def test_equals_scalar_and_reference(self, noisy, window, monkeypatch):
-        # three chunks, with diverging candidates among the finite ones
+        # three chunks, the last one below dynamics.BATCH_MIN, with diverging
+        # candidates among the finite ones
         monkeypatch.setattr(loss_module, "BATCH_COLUMNS", 24)
         params = _random_params(np.random.default_rng(window.t_end), 60)
         params[5] = params[40] = TRUE.replace(beta=1e300)
@@ -164,13 +162,7 @@ class TestFitLossBatch:
         assert want == [reference_fit_loss(noisy, p, window) for p in params]
         assert np.isinf(got).tolist() == [k in (5, 40) for k in range(60)]
 
-    def test_small_batches_take_the_scalar_path(self, noisy, monkeypatch):
-        calls = []
-        monkeypatch.setattr(loss_module, "fit_loss",
-                            lambda *args: calls.append(args) or 1.5)
-        params = [TRUE] * (loss_module.BATCH_MIN - 1)
-        assert fit_loss_batch(noisy, params, FitWindow(0, 28)).tolist() == [1.5] * len(params)
-        assert len(calls) == len(params)
+    def test_empty_batch(self, noisy):
         assert fit_loss_batch(noisy, [], FitWindow(0, 28)).shape == (0,)
 
     def test_window_must_fit_dataset(self, noisy):

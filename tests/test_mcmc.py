@@ -21,6 +21,8 @@ from seiard.loss import FitWindow
 from seiard.mcmc import (
     ChainSamples,
     McmcConfig,
+    _residual_ss,
+    _window_log_diffs,
     draw_inverse_gamma,
     gelman_rubin,
     log_diff,
@@ -29,7 +31,6 @@ from seiard.mcmc import (
     propose,
     run_chain,
     run_chains,
-    sample_s,
     variance_posterior,
 )
 from seiard.optimize import SearchSpace
@@ -284,7 +285,11 @@ class TestVariancePosterior:
         # u_k inflated by the window length, so draws sit near v/(u_k - 1)
         config = McmcConfig(window=FitWindow(0, 29), n_samples=10, n_burn=0)
         rng = np.random.default_rng(0)
-        draws = [sample_s(TRUTH, clean_dataset, config, rng) for _ in range(200)]
+        window = config.window
+        residual = _residual_ss(TRUTH, clean_dataset, window,
+                                _window_log_diffs(clean_dataset.observed, window))
+        u_k, v_k = variance_posterior(residual, window, config)
+        draws = [draw_inverse_gamma(u_k, v_k, rng) for _ in range(200)]
         center = config.v / (96.0 - 1.0)
         assert np.median(draws) == pytest.approx(center, rel=0.30)
         assert min(draws) > 0.0

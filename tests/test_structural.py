@@ -7,16 +7,36 @@ import pytest
 
 from seiard import defaults
 from seiard.artifacts import write_json
-from seiard.dynamics import DivergenceError
+from seiard.dynamics import PARAM_NAMES, DivergenceError, ModelParams, simulate_observed
 from seiard.structural import (
     SensitivityReport,
     sensitivity_matrix,
     structural_verdict,
     svd_rank,
 )
+from seiard.synthdata import default_config
 
 TRUTH = defaults.TRUE_PARAMS
 REPARAM_FREE = ("beta", "t_recov", "p_fatal", "e0", "i0")
+
+
+def reference_matrix(params, times, names, scenario, rel_step=1e-4):
+    """The screen as one scalar central difference per column: both solves
+    of a column, then the column, one quantity at a time."""
+    times = np.asarray(times, dtype=float)
+    columns = []
+    for name in names:
+        base = params.as_dict()
+        delta = rel_step * base[name]
+        stacks = []
+        for sign in (+1.0, -1.0):
+            shifted = ModelParams.from_dict({**base, name: base[name] + sign * delta})
+            series = simulate_observed(shifted, scenario, int(times.max()))
+            stacks.append(np.concatenate(
+                [series.series(row)[times.astype(int)]
+                 for row in ("active", "recovered", "deceased")]))
+        columns.append((stacks[0] - stacks[1]) / (2.0 * rel_step))
+    return np.column_stack(columns)
 
 
 @pytest.fixture(scope="module")
@@ -97,10 +117,37 @@ class TestSensitivityMatrix:
         rel = np.abs(fine.singular_values - coarse.singular_values) / coarse.singular_values
         assert rel.max() < 0.01
 
+    @pytest.mark.parametrize("days", [28, 200])
+    @pytest.mark.parametrize("names", [REPARAM_FREE, PARAM_NAMES])
+    def test_equals_reference_columns(self, names, days):
+        times = np.arange(1, days + 1)
+        got = sensitivity_matrix(TRUTH, times, free_names=names).matrix
+        want = reference_matrix(TRUTH, times, names, default_config())
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("names", [REPARAM_FREE, PARAM_NAMES])
+    def test_equals_reference_columns_in_a_scenario(self, names):
+        scenario = default_config(a0_fatal_fraction=0.5, dt=0.25, population_n=2e6)
+        times = np.arange(1, 57)
+        got = sensitivity_matrix(TRUTH, times, free_names=names,
+                                 scenario=scenario).matrix
+        assert np.array_equal(got, reference_matrix(TRUTH, times, names, scenario))
+        # each scenario field on its own moves the matrix
+        default = sensitivity_matrix(TRUTH, times, free_names=names).matrix
+        for change in ({"a0_fatal_fraction": 0.5}, {"dt": 0.25}, {"population_n": 2e6}):
+            moved = sensitivity_matrix(TRUTH, times, free_names=names,
+                                       scenario=default_config(**change)).matrix
+            assert not np.array_equal(moved, default)
+
     def test_perturbation_failure_names_quantity(self):
         at_edge = TRUTH.replace(p_fatal=1.0)
         with pytest.raises(DivergenceError, match="p_fatal"):
             sensitivity_matrix(at_edge, np.arange(1, 8))
+
+    def test_diverging_solve_names_quantity(self):
+        with pytest.raises(DivergenceError, match="t_inc"):
+            sensitivity_matrix(TRUTH.replace(beta=1e300), np.arange(1, 8),
+                               free_names=("t_inc",))
 
     def test_zero_quantity_rejected(self):
         no_seed = TRUTH.replace(e0=0.0)
@@ -110,6 +157,10 @@ class TestSensitivityMatrix:
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             sensitivity_matrix(TRUTH, [])
+        with pytest.raises(ValueError, match="1-D"):
+            sensitivity_matrix(TRUTH, 5)
+        with pytest.raises(ValueError, match="1-D"):
+            sensitivity_matrix(TRUTH, [[1, 2], [3, 4]])
         with pytest.raises(ValueError):
             sensitivity_matrix(TRUTH, [1.5, 2.0])
         with pytest.raises(ValueError):

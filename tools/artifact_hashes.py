@@ -29,6 +29,9 @@ SMALL_PROFILE = ("--set", "profile.grid_points=7",
                  "--set", "profile.inner_budget=40")
 SMALL_MCMC = ("--set", "mcmc.n_samples=600", "--set", "mcmc.n_burn=100",
               "--set", "mcmc.thin=5", "--set", "mcmc.n_chains=2")
+# every scenario field away from its default, so a solve that drops one shows
+SCENARIO = ("--set", "dataset.a0_fatal_fraction=0.5", "--set", "dataset.dt=0.25",
+            "--set", "dataset.population_n=2000000")
 
 # (label, argv after `seiard`); every subcommand at a small fixed config
 RUNS = (
@@ -52,6 +55,8 @@ RUNS = (
     ("report-original", ("report", "--set", "variant=original")),
     ("report-original-threads", ("report", "--set", "variant=original",
                                  "--threads", "2")),
+    ("report-scenario", ("report", *SCENARIO)),
+    ("fit-scenario", ("fit", *NOISY, *SCENARIO, "--set", "fit.budget=80")),
     ("forecast-eval", ("forecast-eval", *NOISY,
                        "--set", "forecast.horizons=[42,100]",
                        "--set", "forecast.seeds=[1,2]",
