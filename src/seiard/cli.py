@@ -83,11 +83,7 @@ def cmd_profile(resolved: dict, out: Path) -> None:
                    for d in durations]
     else:
         windows = [base_window]
-    threads = int(resolved["threads"])
-    warm_start = bool(section["warm_start"]) and threads <= 1
-    if section["warm_start"] and not warm_start:
-        print(f"seiard profile: warm start is off with --threads {threads}; "
-              "the curves can differ from a --threads 1 run", file=sys.stderr)
+    warm_start = bool(section["warm_start"])
     # the posterior threshold depends on the window only, not on the parameter
     posterior_thresholds: dict[FitWindow, float] = {}
 
@@ -102,7 +98,7 @@ def cmd_profile(resolved: dict, out: Path) -> None:
             curve = profile_likelihood(
                 dataset, param, grid=grid, space=space, window=window,
                 inner_budget=int(section["inner_budget"]), seed=seed,
-                warm_start=warm_start, n_jobs=threads)
+                warm_start=warm_start, n_jobs=int(resolved["threads"]))
             alpha = float(section["alpha"])
             if section["threshold"] == "posterior":
                 if window not in posterior_thresholds:
@@ -276,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", metavar="DIR", default=None,
                          help="output directory (overrides out_dir)")
         sub.add_argument("--threads", type=int, default=None,
-                         help="worker processes for profile grids (profile only)")
+                         help="processes for profile sweeps; curves do not change")
     return parser
 
 

@@ -59,8 +59,7 @@ REPARAM_PINS: dict[str, float] = {
 VARIANCE_PRIOR_SHAPE = 40.0
 VARIANCE_PRIOR_SCALE = 2.0 / 700.0
 
-# Default training window (days, inclusive) and fitting budgets.
+# Default training window (days, inclusive) and fitting budget.
 DEFAULT_WINDOW = (0, 28)
-FIT_BUDGET_FULL = 2000     # 8 free parameters
 FIT_BUDGET_REPARAM = 500   # 5 free parameters
 

@@ -73,12 +73,6 @@ class PlInterval:
     def width(self) -> float:
         return sum(hi - lo for lo, hi in self.segments)
 
-    @property
-    def span(self) -> tuple[float, float] | None:
-        if not self.segments:
-            return None
-        return self.segments[0][0], self.segments[-1][1]
-
     def contains(self, value: float) -> bool:
         return any(lo <= value <= hi for lo, hi in self.segments)
 
@@ -133,6 +127,30 @@ def _strip_to_free(params: dict[str, float], space: SearchSpace,
         return None
 
 
+def _sweep(dataset: Dataset, param_name: str, grid: np.ndarray, indices,
+           start: list[float] | None, space: SearchSpace, window: FitWindow,
+           inner_budget: int, seed: int, method: str,
+           loss_fn) -> list[tuple[int, float, dict, bool]]:
+    """Profile grid[j] for j in indices, in order; each inner fit also starts
+    from the previous feasible argmin, the first from `start` (or none)."""
+    results = []
+    previous = start
+    for j in indices:
+        init = [previous] if previous is not None else None
+        loss, argmin, failed = _profile_point(
+            dataset, param_name, float(grid[j]), space, window, inner_budget,
+            _point_seed(seed, j), method, init, loss_fn)
+        results.append((j, loss, argmin, failed))
+        if not failed:
+            previous = _strip_to_free({**argmin, param_name: grid[j]},
+                                      space, param_name)
+    return results
+
+
+def _sweep_star(job):
+    return _sweep(*job)
+
+
 def profile_likelihood(dataset: Dataset, param_name: str, grid=None,
                        space: SearchSpace | None = None,
                        window: FitWindow = None,
@@ -142,11 +160,11 @@ def profile_likelihood(dataset: Dataset, param_name: str, grid=None,
                        n_jobs: int = 1, loss_fn=None) -> PlCurve:
     """Profile the fit loss along one free parameter.
 
-    With warm_start the sweep runs as two sequential passes outward from the
-    global fit, feeding each inner run the neighboring grid point's argmin as
-    an extra starting point; this suppresses spurious bumps caused by inner
-    optimizer failures.  With warm_start off, grid points are independent and
-    may be evaluated in parallel processes (n_jobs > 1).
+    The grid is covered by sweeps, ordered runs in which each inner fit also
+    starts from the previous point's argmin.  With warm_start two sweeps run
+    outward from the global fit, which suppresses spurious bumps caused by
+    inner optimizer failures; without it every grid point is its own sweep.
+    Each grid point has its own seed, so the curve is the same for any n_jobs.
 
     Args:
         dataset: observations to fit against.
@@ -161,7 +179,7 @@ def profile_likelihood(dataset: Dataset, param_name: str, grid=None,
         method: inner optimizer method.
         center: optional known global-fit parameter dict; when absent and
             warm-starting, a global fit is run first.
-        n_jobs: process count for the independent-point mode.
+        n_jobs: above 1, the sweeps run in up to this many processes.
         loss_fn: objective as (dataset, params, window) -> float; defaults to
             the standard fit loss, whose exploration batches random+nm
             solves together.  Must be picklable when n_jobs > 1.
@@ -182,54 +200,33 @@ def profile_likelihood(dataset: Dataset, param_name: str, grid=None,
         raise ValueError("grid must be non-empty")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-
     n = grid.size
-    losses = np.full(n, math.inf)
-    argmins: list[dict[str, float]] = [{} for _ in range(n)]
-    failed = np.ones(n, dtype=bool)
 
-    if not warm_start:
-        jobs = [(dataset, param_name, float(grid[j]), space, window,
-                 inner_budget, _point_seed(seed, j), method, None, loss_fn)
-                for j in range(n)]
-        if n_jobs > 1:
-            with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-                outputs = list(pool.map(_profile_point_star, jobs))
-        else:
-            outputs = [_profile_point_star(job) for job in jobs]
-        for j, (loss, arg, fail) in enumerate(outputs):
-            losses[j], argmins[j], failed[j] = loss, arg, fail
-        return PlCurve(param_name, grid, losses, tuple(argmins), failed)
-
-    if center is None:
-        objective, batch_objective = fit_objective(dataset, window, loss_fn)
-        # the global fit gets the seed slot one past the grid indices
-        fit = minimize(objective, space, budget=inner_budget,
-                       seed=_point_seed(seed, grid.size), method=method,
-                       batch_objective=batch_objective)
-        center = fit.best_params
-    start_index = int(np.argmin(np.abs(grid - center[param_name])))
-
-    center_free = _strip_to_free(center, space, param_name)
-
-    def sweep(indices):
-        previous = center_free
-        for j in indices:
-            init = [previous] if previous is not None else None
-            losses[j], argmins[j], failed[j] = _profile_point(
-                dataset, param_name, float(grid[j]), space, window,
-                inner_budget, _point_seed(seed, j), method, init, loss_fn)
-            if not failed[j]:
-                previous = _strip_to_free({**argmins[j], param_name: grid[j]},
-                                          space, param_name)
-
-    sweep(range(start_index, n))
-    sweep(range(start_index - 1, -1, -1))
-    return PlCurve(param_name, grid, losses, tuple(argmins), failed)
-
-
-def _profile_point_star(job):
-    return _profile_point(*job)
+    if warm_start:
+        if center is None:
+            objective, batch_objective = fit_objective(dataset, window, loss_fn)
+            # the global fit gets the seed slot one past the grid indices
+            fit = minimize(objective, space, budget=inner_budget,
+                           seed=_point_seed(seed, n), method=method,
+                           batch_objective=batch_objective)
+            center = fit.best_params
+        k = int(np.argmin(np.abs(grid - center[param_name])))
+        from_center = _strip_to_free(center, space, param_name)
+        sweeps = [(range(k, n), from_center),
+                  (range(k - 1, -1, -1), from_center)]
+    else:
+        sweeps = [((j,), None) for j in range(n)]
+    jobs = [(dataset, param_name, grid, indices, start, space, window,
+             inner_budget, seed, method, loss_fn) for indices, start in sweeps]
+    if n_jobs > 1:
+        with ProcessPoolExecutor(max_workers=min(n_jobs, len(jobs))) as pool:
+            outputs = list(pool.map(_sweep_star, jobs))
+    else:
+        outputs = map(_sweep_star, jobs)
+    # the sweeps cover every grid index once
+    _, losses, argmins, failed = zip(*sorted(
+        point for results in outputs for point in results))
+    return PlCurve(param_name, grid, np.array(losses), argmins, np.array(failed))
 
 
 def _merged_runs(values: np.ndarray, tol: float) -> list[str]:

@@ -178,27 +178,70 @@ def resolve_config(config: dict) -> dict:
     return resolved
 
 
+# Leaves whose default is null, with the type a set value must have.
+_NULLABLE = {
+    "dataset.seed": int, "fit.seed": int, "profile.seed": int, "mcmc.seed": int,
+    "dataset.a0_fatal_fraction": float, "report.params": dict,
+}
+# Value maps that must name every parameter, not a subset.
+_FULL_MAPS = frozenset({"dataset.true_params", "report.params"})
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string"}
+
+
+def _has_type(value, kind: type) -> bool:
+    """JSON typing: a bool is never a number, and an int is a float."""
+    if isinstance(value, bool) != (kind is bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_value_map(path: str, node) -> None:
+    if not (isinstance(node, dict)
+            and all(_has_type(v, float) for v in node.values())):
+        raise ConfigError(f"{path} must be a name -> number object, got {node!r}")
+    for name in node:
+        if name not in PARAM_NAMES:
+            raise ConfigError(f"{path}: unknown parameter {name!r}")
+    if path in _FULL_MAPS and len(node) != len(PARAM_NAMES):
+        raise ConfigError(f"{path} must map each of {PARAM_NAMES} "
+                          f"to a number, got {node!r}")
+
+
+def _check_types(default: dict, node: dict, path: str = "") -> None:
+    """Every scalar leaf has its default's type (or the _NULLABLE type, or
+    null), and every value map is a name -> number object."""
+    for key, base in default.items():
+        here = path + key
+        value = node[key]
+        if isinstance(base, dict) and here not in _OPEN_DICTS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{here!r} must be an object")
+            _check_types(base, value, here + ".")
+            continue
+        if value is None and here in _NULLABLE:
+            continue
+        kind = _NULLABLE.get(here, type(base))
+        if kind is dict:
+            _check_value_map(here, value)
+        elif kind in _KIND_NAMES and not _has_type(value, kind):
+            raise ConfigError(f"{here} must be {_KIND_NAMES[kind]}, "
+                              f"got {value!r}")
+
+
 def validate(config: dict) -> None:
     """Cheap structural checks with usage-grade errors; the library
     constructors enforce the numeric invariants."""
-    if not (isinstance(config["threads"], int) and config["threads"] >= 1):
+    _check_types(default_config(), config)
+    if config["threads"] < 1:
         raise ConfigError(f"threads must be an integer >= 1, "
                           f"got {config['threads']!r}")
     if config["variant"] not in VARIANTS:
         raise ConfigError(f"variant must be one of {VARIANTS}, "
                           f"got {config['variant']!r}")
-    for path in ("pins", "mcmc.proposal_variances", "dataset.true_params"):
-        node = config
-        for key in path.split("."):
-            node = node[key]
-        if not isinstance(node, dict):
-            raise ConfigError(f"{path!r} must be a name -> number object")
-        for name in node:
-            if name not in PARAM_NAMES:
-                raise ConfigError(f"{path}: unknown parameter {name!r}")
     window = config["window"]
     if not (isinstance(window, list) and len(window) == 2
-            and all(isinstance(t, int) for t in window) and window[0] < window[1]):
+            and all(_has_type(t, int) for t in window) and window[0] < window[1]):
         raise ConfigError(f"window must be two integers [t_begin, t_end] "
                           f"with t_begin < t_end, got {window!r}")
     if window[1] > config["dataset"]["horizon"]:
@@ -217,19 +260,13 @@ def validate(config: dict) -> None:
         section, key = path.split(".")
         value = config[section][key]
         if not ((value is None and none_ok) or (
-                isinstance(value, list) and all(isinstance(v, int) for v in value))):
+                isinstance(value, list) and all(_has_type(v, int) for v in value))):
             raise ConfigError(f"{path} must be a list of integers, got {value!r}")
     counts = config["dataset"]["init_observed"]
     if not (isinstance(counts, list) and len(counts) == 3
-            and all(isinstance(v, (int, float)) for v in counts)):
+            and all(_has_type(v, float) for v in counts)):
         raise ConfigError(f"dataset.init_observed must be three numbers "
                           f"[active, recovered, deceased], got {counts!r}")
-    point = config["report"]["params"]
-    if point is not None and not (
-            isinstance(point, dict) and set(point) == set(PARAM_NAMES)
-            and all(isinstance(v, (int, float)) for v in point.values())):
-        raise ConfigError(f"report.params must map each of {PARAM_NAMES} "
-                          f"to a number, got {point!r}")
     free = build_space(config).free_names
     for name in params:
         if name not in free:

@@ -84,6 +84,23 @@ class TestConfig:
             ("report.times=5", "report.times"),
             ("report.params=5", "report.params"),
             ('report.params={"bogus":1}', "report.params"),
+            ('dataset.true_params={"beta":0.3}', "dataset.true_params"),
+            ("fit.budget=[1]", "fit.budget"),
+            ("profile.grid_points=[3]", "profile.grid_points"),
+            ("report.rel_step=[1]", "report.rel_step"),
+            ("dataset.horizon=[5]", "dataset.horizon"),
+            ("pins.beta=[1]", "pins"),
+            ("mcmc.proposal_variances.beta=[1]", "mcmc.proposal_variances"),
+            ("fit.budget=1.5", "fit.budget"),
+            ("master_seed=[1]", "master_seed"),
+            ("profile.warm_start=[1]", "profile.warm_start"),
+            ("profile.warm_start=1", "profile.warm_start"),
+            ("mcmc.n_samples=true", "mcmc.n_samples"),
+            ('dataset.seed="4"', "dataset.seed"),
+            ('dataset.a0_fatal_fraction="x"', "a0_fatal_fraction"),
+            ("fit=5", "fit"),
+            ("window=[false,5]", "window"),
+            ("forecast.horizons=[true]", "forecast.horizons"),
         ]:
             config = runconfig.load_config()
             runconfig.apply_set(config, assignment)
@@ -225,20 +242,22 @@ class TestProfile:
             want = read_json(single / param / f"pl_{param}.json")["interval"]
             assert got == want
 
-    def test_warm_start_recorded_and_threads_warn(self, tmp_path, capsys):
+    def test_warm_start_recorded_and_threads_leave_curves(self, tmp_path,
+                                                           capsys):
         out = tmp_path / "one"
         assert run_cli("profile", "--out", str(out), *FAST_PROFILE,
                        "--set", "profile.windows=[14]") == EXIT_OK
-        assert "warm start" not in capsys.readouterr().err
         assert read_json(out / "pl_beta_w14.json")["warm_start"] is True
         assert read_json(out / "pl_beta_widths.json")["warm_start"] is True
 
-        out = tmp_path / "two"
-        assert run_cli("profile", "--out", str(out), *FAST_PROFILE,
-                       "--threads", "2") == EXIT_OK
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "warm start is off" in err[0]
-        assert read_json(out / "pl_beta.json")["warm_start"] is False
+        one, two = tmp_path / "threads1", tmp_path / "threads2"
+        for out, threads in ((one, "1"), (two, "2")):
+            assert run_cli("profile", "--out", str(out), *FAST_PROFILE,
+                           "--threads", threads) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        for name in ("pl_beta.csv", "pl_beta.json"):
+            assert (two / name).read_bytes() == (one / name).read_bytes()
+        assert read_json(two / "pl_beta.json")["warm_start"] is True
 
         out = tmp_path / "off"
         assert run_cli("profile", "--out", str(out), *FAST_PROFILE,

@@ -261,13 +261,17 @@ class TestProfileLikelihood:
             window=window, inner_budget=40, seed=2, center=TRUTH.as_dict())
         assert curve.profiled_loss[0] <= fit_loss(clean_dataset, TRUTH, window) + 1e-12
 
-    def test_parallel_matches_sequential_without_warm_start(self, clean_dataset):
+    @pytest.mark.parametrize("warm_start", [True, False])
+    def test_parallel_matches_sequential(self, clean_dataset, warm_start):
         kwargs = dict(
             grid=[0.2, 0.24, 0.28, 0.32], space=reparam_space({"e0": 1.0, "i0": 1.0}),
-            window=FitWindow(0, 10), inner_budget=50, seed=3, warm_start=False)
+            window=FitWindow(0, 10), inner_budget=50, seed=3,
+            warm_start=warm_start)
         seq = profile_likelihood(clean_dataset, "beta", n_jobs=1, **kwargs)
         par = profile_likelihood(clean_dataset, "beta", n_jobs=2, **kwargs)
         np.testing.assert_array_equal(seq.profiled_loss, par.profiled_loss)
+        assert seq.argmins == par.argmins
+        np.testing.assert_array_equal(seq.failed, par.failed)
 
     def test_validation_errors(self, clean_dataset):
         with pytest.raises(ValueError):

@@ -49,6 +49,9 @@ RUNS = (
                            "--set", "profile.threshold=posterior",
                            "--set", 'profile.params=["beta","p_fatal"]')),
     ("profile-threads", ("profile", *NOISY, *SMALL_PROFILE, "--threads", "2")),
+    ("profile-cold-threads", ("profile", *NOISY, *SMALL_PROFILE,
+                              "--set", "profile.warm_start=false",
+                              "--threads", "2")),
     ("mcmc", ("mcmc", *NOISY, *SMALL_MCMC)),
     ("mcmc-original", ("mcmc", *NOISY, *SMALL_MCMC, "--set", "variant=original")),
     ("report", ("report",)),
