@@ -23,9 +23,8 @@ def main():
     window = FitWindow(*DEFAULT_WINDOW)
     space = SearchSpace(bounds=SEARCH_BOUNDS, pinned=REPARAM_PINS)
 
-    objective, batch_objective = fit_objective(dataset, window)
-    result = minimize(objective, space, budget=FIT_BUDGET_REPARAM, seed=1,
-                      batch_objective=batch_objective)
+    objective = fit_objective(dataset, window)
+    result = minimize(objective, space, budget=FIT_BUDGET_REPARAM, seed=1)
     print(f"evaluations: {result.budget_used}, best loss {result.best_loss:.3f} "
           "(mean per-series MAPE, percent)")
     print()

@@ -31,9 +31,8 @@ for seed in args.seeds:
     observed_total = dataset.observed.series("total")
     for name, pins in variants.items():
         space = SearchSpace(bounds=SEARCH_BOUNDS, pinned=pins)
-        objective, batch_objective = fit_objective(dataset, window)
-        result = minimize(objective, space, budget=args.budget, seed=seed,
-                          batch_objective=batch_objective)
+        result = minimize(fit_objective(dataset, window), space,
+                          budget=args.budget, seed=seed)
         params = ModelParams.from_dict(result.best_params)
         predicted = simulate_observed(params, dataset.config,
                                       dataset.config.horizon)

@@ -54,10 +54,9 @@ def cmd_fit(resolved: dict, out: Path) -> None:
     space = runconfig.build_space(resolved)
     window = runconfig.build_window(resolved)
     section = resolved["fit"]
-    objective, batch_objective = fit_objective(dataset, window)
-    result = minimize(objective, space, budget=int(section["budget"]),
-                      seed=int(section["seed"]), method=section["method"],
-                      batch_objective=batch_objective)
+    result = minimize(fit_objective(dataset, window), space,
+                      budget=int(section["budget"]),
+                      seed=int(section["seed"]), method=section["method"])
     result.write_trace_csv(out / "trace.csv")
     write_json(out / "fit.json", {
         "variant": resolved["variant"],
@@ -213,10 +212,9 @@ def cmd_forecast_eval(resolved: dict, out: Path) -> None:
         for name, pins in variants.items():
             space = runconfig.build_space({**resolved, "variant": name,
                                            "pins": pins})
-            objective, batch_objective = fit_objective(dataset, window)
-            result = minimize(objective, space, budget=int(section["budget"]),
-                              seed=seed, method=section["method"],
-                              batch_objective=batch_objective)
+            result = minimize(fit_objective(dataset, window), space,
+                              budget=int(section["budget"]),
+                              seed=seed, method=section["method"])
             curve = _forecast_mape_curve(
                 dataset, ModelParams.from_dict(result.best_params), window,
                 horizons)

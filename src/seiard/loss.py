@@ -8,12 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    DivergenceError,
-    ModelParams,
-    simulate_observed,
-    simulate_observed_batch,
-)
+from .dynamics import ModelParams, simulate_observed_batch
 from .synthdata import Dataset
 
 # Denominator guard: counts below one person are treated as one person so a
@@ -85,27 +80,16 @@ def _mean_mape(reported: np.ndarray, predicted: np.ndarray) -> np.ndarray:
 
 def fit_loss(dataset: Dataset, params: ModelParams, window: FitWindow) -> float:
     """Average MAPE of the three reported series plus their total over the
-    window, for a candidate parameter vector.
-
-    Simulation always starts at day 0 in the dataset's scenario (its observed
-    initial counts, population and step) with the candidate's e0/i0, so the
-    window only selects which days are scored.  Returns +inf when the
-    candidate makes the solver diverge.
-    """
-    _check_window(dataset, window)
-    try:
-        simulated = simulate_observed(params, dataset.config, window.t_end)
-    except DivergenceError:
-        return math.inf
-    return float(_mean_mape(
-        dataset.observed.window(window.t_begin, window.t_end).values,
-        simulated.values[:, window.t_begin:]))
+    window, for one candidate parameter vector: fit_loss_batch of one."""
+    return float(fit_loss_batch(dataset, [params], window)[0])
 
 
 def fit_loss_batch(dataset: Dataset, params, window: FitWindow) -> np.ndarray:
-    """fit_loss for each of a sequence of parameter vectors, as an array.
+    """The fit loss for each of a sequence of parameter vectors, as an array.
 
-    Every entry is bit-equal to fit_loss for that vector, +inf where its
+    Simulation always starts at day 0 in the dataset's scenario (its observed
+    initial counts, population and step) with the candidate's e0/i0, so the
+    window only selects which days are scored.  An entry is +inf where its
     solve diverges.  The vectors go to simulate_observed_batch BATCH_COLUMNS
     at a time.
     """
@@ -124,24 +108,17 @@ def fit_loss_batch(dataset: Dataset, params, window: FitWindow) -> np.ndarray:
 
 
 def fit_objective(dataset: Dataset, window: FitWindow, loss_fn=None):
-    """The objective pair that optimize.minimize takes to fit the dataset
-    over the window: (objective, batch_objective).
+    """The objective optimize.minimize takes to fit the dataset over the
+    window: a callable mapping a list of candidate {name: value} dicts to one
+    loss per candidate.
 
-    objective maps a candidate {name: value} dict to fit_loss at those
-    parameters; batch_objective maps a list of such dicts to fit_loss_batch
-    over them.  A custom loss_fn(dataset, params, window) takes the place of
-    fit_loss and has no batch form, so batch_objective is then None.
+    It gives fit_loss_batch over the candidates, or applies a custom
+    loss_fn(dataset, params, window) -> float to each candidate in turn.
     """
-    loss = fit_loss if loss_fn is None else loss_fn
+    def objective(candidates):
+        params = [ModelParams.from_dict(c) for c in candidates]
+        if loss_fn is None:
+            return fit_loss_batch(dataset, params, window)
+        return [loss_fn(dataset, p, window) for p in params]
 
-    def objective(candidate: dict[str, float]) -> float:
-        return loss(dataset, ModelParams.from_dict(candidate), window)
-
-    if loss_fn is not None:
-        return objective, None
-
-    def batch_objective(candidates) -> np.ndarray:
-        return fit_loss_batch(dataset, [ModelParams.from_dict(c) for c in candidates],
-                              window)
-
-    return objective, batch_objective
+    return objective

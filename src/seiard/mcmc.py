@@ -212,7 +212,7 @@ def _log_s_prior(s: float, config: McmcConfig) -> float:
 
 
 def run_chain(dataset: Dataset, config: McmcConfig, chain_id: int = 0,
-              log_lik_fn=None, gibbs_update_s: bool = True) -> ChainSamples:
+              log_lik_fn=None) -> ChainSamples:
     """Run one chain from an over-dispersed (uniform-over-bounds) start.
 
     Args:
@@ -221,10 +221,9 @@ def run_chain(dataset: Dataset, config: McmcConfig, chain_id: int = 0,
             chain_id) so chains are independent and reproducible.
         chain_id: index of this chain.
         log_lik_fn: test hook replacing the model log-likelihood with a
-            callable (theta_dict, s) -> real; the Gibbs step is usually
-            disabled alongside it.
-        gibbs_update_s: draw s from its conditional each iteration; when
-            False, s stays at the prior mean.
+            callable (theta_dict, s) -> real.  Without it s is drawn from
+            its conditional each iteration; with it s stays at the prior
+            mean.
 
     Returns:
         ChainSamples with burn-in discarded and thinning applied.
@@ -235,9 +234,6 @@ def run_chain(dataset: Dataset, config: McmcConfig, chain_id: int = 0,
     window = config.window
 
     use_model = log_lik_fn is None
-    if not use_model and gibbs_update_s:
-        raise ValueError("gibbs_update_s requires the model likelihood; "
-                         "pass gibbs_update_s=False with log_lik_fn")
     if use_model:
         data_z = _window_log_diffs(dataset.observed, window)
         count = data_z.size
@@ -290,7 +286,7 @@ def run_chain(dataset: Dataset, config: McmcConfig, chain_id: int = 0,
                 residual = proposal_residual
             accepted += 1
 
-        if gibbs_update_s and math.isfinite(residual):
+        if use_model and math.isfinite(residual):
             u_k, v_k = variance_posterior(residual, window, config)
             s = draw_inverse_gamma(u_k, v_k, rng)
             current_ll = _gaussian_loglik(residual, count, s)

@@ -104,10 +104,8 @@ class OptResult:
 class _Recorder:
     """Evaluation bookkeeping shared by both methods."""
 
-    def __init__(self, objective, space: SearchSpace, budget: int,
-                 batch_objective=None):
+    def __init__(self, objective, space: SearchSpace, budget: int):
         self.objective = objective
-        self.batch_objective = batch_objective
         self.space = space
         self.budget = budget
         self.evaluations: list[tuple[dict, float]] = []
@@ -119,19 +117,14 @@ class _Recorder:
         return len(self.evaluations) >= self.budget
 
     def evaluate(self, free_values: np.ndarray) -> float:
-        params = self.space.assemble(free_values)
-        return self._record(free_values, params, self.objective(params))
+        return self.evaluate_batch([free_values])[0]
 
-    def evaluate_batch(self, points: list[np.ndarray]) -> None:
-        """Evaluate points in order, through the batch objective if any."""
-        if self.batch_objective is None:
-            for free_values in points:
-                self.evaluate(free_values)
-            return
+    def evaluate_batch(self, points: list[np.ndarray]) -> list[float]:
+        """Score points in one objective call and record them in order."""
         params = [self.space.assemble(free_values) for free_values in points]
-        values = self.batch_objective(params)
-        for free_values, candidate, value in zip(points, params, values):
-            self._record(free_values, candidate, value)
+        values = self.objective(params)
+        return [self._record(free_values, candidate, value)
+                for free_values, candidate, value in zip(points, params, values)]
 
     def _record(self, free_values, params: dict, value) -> float:
         value = float(value)
@@ -310,13 +303,14 @@ def _run_random_nm(recorder: _Recorder, rng, init_points) -> None:
 
 
 def minimize(objective, space: SearchSpace, budget: int, seed: int = 0,
-             method: str = "random+nm", init_points=None,
-             batch_objective=None) -> OptResult:
+             method: str = "random+nm", init_points=None) -> OptResult:
     """Minimize a black-box objective over the search space.
 
     Args:
-        objective: callable taking a {name: value} dict (pinned values
-            included) and returning a real loss; +inf marks infeasibility.
+        objective: callable taking a list of {name: value} dicts (pinned
+            values included) and returning one real loss per dict; +inf
+            marks infeasibility.  random+nm passes each uniform exploration
+            batch in one call, every other evaluation alone.
         space: intervals and pinned values.
         budget: exact number of objective evaluations to spend (>= 1).
         seed: RNG seed; runs are reproducible and prefix-stable in budget.
@@ -324,11 +318,6 @@ def minimize(objective, space: SearchSpace, budget: int, seed: int = 0,
             descents from the best unpolished points) or "tpe".
         init_points: optional warm-start free-parameter vectors evaluated
             first (clipped to the box, counted against the budget).
-        batch_objective: optional callable taking a list of candidate dicts
-            and returning one loss per candidate, each equal to what
-            objective returns for it.  random+nm evaluates its uniform
-            exploration batches through it; the result is the same with or
-            without it.
 
     Returns:
         OptResult with the best evaluation and the full trace.
@@ -342,7 +331,7 @@ def minimize(objective, space: SearchSpace, budget: int, seed: int = 0,
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     if not space.free_names:
         raise ValueError("search space has no free parameters")
-    recorder = _Recorder(objective, space, budget, batch_objective)
+    recorder = _Recorder(objective, space, budget)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     init_points = [np.asarray(p, dtype=float) for p in (init_points or [])]
     if method == "tpe":

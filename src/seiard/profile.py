@@ -21,6 +21,8 @@ from .synthdata import Dataset
 
 LOG_SPACED_PARAMS = ("t_inc", "t_inf", "t_recov", "t_fatal")
 GRID_POINTS = 25
+# the fewest grid points unimodality_verdict can classify
+MIN_GRID_POINTS = 5
 PLATEAU_SPAN_LIMIT = 0.2
 
 VERDICT_IDENTIFIABLE = "identifiable"
@@ -73,9 +75,6 @@ class PlInterval:
     def width(self) -> float:
         return sum(hi - lo for lo, hi in self.segments)
 
-    def contains(self, value: float) -> bool:
-        return any(lo <= value <= hi for lo, hi in self.segments)
-
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha,
@@ -106,12 +105,11 @@ def _profile_point(dataset: Dataset, param_name: str, value: float,
                    space: SearchSpace, window: FitWindow, inner_budget: int,
                    seed: int, method: str, init_points,
                    loss_fn=None) -> tuple[float, dict, bool]:
-    objective, batch_objective = fit_objective(dataset, window, loss_fn)
     try:
-        result = minimize(objective, space.pin(param_name, value),
+        result = minimize(fit_objective(dataset, window, loss_fn),
+                          space.pin(param_name, value),
                           budget=inner_budget, seed=seed, method=method,
-                          init_points=init_points,
-                          batch_objective=batch_objective)
+                          init_points=init_points)
     except NoFeasiblePointError:
         return math.inf, {}, True
     complementary = {k: v for k, v in result.best_params.items() if k != param_name}
@@ -180,9 +178,10 @@ def profile_likelihood(dataset: Dataset, param_name: str, grid=None,
         center: optional known global-fit parameter dict; when absent and
             warm-starting, a global fit is run first.
         n_jobs: above 1, the sweeps run in up to this many processes.
-        loss_fn: objective as (dataset, params, window) -> float; defaults to
-            the standard fit loss, whose exploration batches random+nm
-            solves together.  Must be picklable when n_jobs > 1.
+        loss_fn: loss as (dataset, params, window) -> float, applied to
+            one candidate at a time; defaults to the standard fit loss,
+            whose exploration batches random+nm solves together.  Must be
+            picklable when n_jobs > 1.
 
     Returns:
         PlCurve over the grid.
@@ -204,11 +203,10 @@ def profile_likelihood(dataset: Dataset, param_name: str, grid=None,
 
     if warm_start:
         if center is None:
-            objective, batch_objective = fit_objective(dataset, window, loss_fn)
             # the global fit gets the seed slot one past the grid indices
-            fit = minimize(objective, space, budget=inner_budget,
-                           seed=_point_seed(seed, n), method=method,
-                           batch_objective=batch_objective)
+            fit = minimize(fit_objective(dataset, window, loss_fn), space,
+                           budget=inner_budget, seed=_point_seed(seed, n),
+                           method=method)
             center = fit.best_params
         k = int(np.argmin(np.abs(grid - center[param_name])))
         from_center = _strip_to_free(center, space, param_name)
@@ -250,8 +248,8 @@ def unimodality_verdict(curve: PlCurve, rel_tol: float = 0.05) -> str:
     the grid span, is `non-identifiable`; anything else (monotone curves,
     minima pinned at an edge) is `inconclusive`.
     """
-    if len(curve.grid) < 5:
-        raise ValueError("verdict needs at least 5 grid points")
+    if len(curve.grid) < MIN_GRID_POINTS:
+        raise ValueError(f"verdict needs at least {MIN_GRID_POINTS} grid points")
     finite = curve.profiled_loss[np.isfinite(curve.profiled_loss)]
     if finite.size < 5:
         return VERDICT_INCONCLUSIVE
@@ -288,8 +286,9 @@ def pl_interval(curve: PlCurve, threshold: float, alpha: float = 0.95) -> PlInte
     the true interval extends beyond the searched range.
     """
     values = curve.profiled_loss
-    if threshold < curve.min_loss:
-        raise ValueError(f"threshold {threshold} below curve minimum {curve.min_loss}")
+    if not threshold >= curve.min_loss:
+        raise ValueError(f"threshold {threshold} is not at or above the curve "
+                         f"minimum {curve.min_loss}")
     inside = np.isfinite(values) & (values <= threshold)
     segments = []
     j = 0

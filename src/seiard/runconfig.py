@@ -18,6 +18,7 @@ from .dynamics import PARAM_NAMES, ModelParams
 from .loss import FitWindow
 from .mcmc import McmcConfig
 from .optimize import METHODS, SearchSpace
+from .profile import MIN_GRID_POINTS
 from .synthdata import DatasetConfig, NoiseSpec
 
 VARIANTS = ("original", "reparam")
@@ -252,6 +253,12 @@ def validate(config: dict) -> None:
         raise ConfigError(f"forecast.method must be one of {METHODS}")
     if config["profile"]["threshold"] not in THRESHOLD_MODES:
         raise ConfigError(f"profile.threshold must be one of {THRESHOLD_MODES}")
+    alpha = config["profile"]["alpha"]
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"profile.alpha must lie in (0, 1), got {alpha!r}")
+    if config["profile"]["grid_points"] < MIN_GRID_POINTS:
+        raise ConfigError(f"profile.grid_points must be at least "
+                          f"{MIN_GRID_POINTS}, got {config['profile']['grid_points']!r}")
     params = config["profile"]["params"]
     if not (isinstance(params, list) and all(isinstance(n, str) for n in params)):
         raise ConfigError(f"profile.params must be a list of names, got {params!r}")

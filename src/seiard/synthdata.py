@@ -50,20 +50,6 @@ class DatasetConfig:
             "dt": self.dt,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DatasetConfig":
-        return cls(
-            true_params=ModelParams.from_dict(data["true_params"]),
-            population_n=float(data["population_n"]),
-            horizon=int(data["horizon"]),
-            init_observed=tuple(float(v) for v in data["init_observed"]),
-            noise=NoiseSpec(float(data.get("noise_sigma", 0.0))),
-            seed=int(data["seed"]),
-            a0_fatal_fraction=(None if data.get("a0_fatal_fraction") is None
-                               else float(data["a0_fatal_fraction"])),
-            dt=float(data.get("dt", 0.1)),
-        )
-
 
 @dataclass(frozen=True)
 class Dataset:

@@ -152,10 +152,9 @@ def test_criterion_03_loss_at_truth(noiseless_dataset):
 
 def test_criterion_04_noiseless_recovery(noiseless_dataset):
     space = space_for(defaults.REPARAM_PINS)
-    objective, batch_objective = fit_objective(noiseless_dataset, W28)
+    objective = fit_objective(noiseless_dataset, W28)
     t0 = time.perf_counter()
-    fits = [minimize(objective, space, budget=500, seed=seed,
-                     batch_objective=batch_objective)
+    fits = [minimize(objective, space, budget=500, seed=seed)
             for seed in (1, 2, 3, 4, 5)]
     seconds = time.perf_counter() - t0
     beta = float(np.median([f.best_params["beta"] for f in fits]))
@@ -267,8 +266,7 @@ def test_criterion_09_sampler_calibration_shims(noiseless_dataset):
                         space=SearchSpace({"beta": (0.0, 1.0)}),
                         proposal_variances={"beta": 0.1},
                         n_samples=30_000, n_burn=5_000, thin=5, seed=42)
-    draws = run_chain(noiseless_dataset, config, log_lik_fn=gaussian,
-                      gibbs_update_s=False).param("beta")
+    draws = run_chain(noiseless_dataset, config, log_lik_fn=gaussian).param("beta")
     mcse_mean = batch_means_mcse(draws)
     centered_sq = (draws - draws.mean()) ** 2
     mcse_sd = batch_means_mcse(centered_sq) / (2.0 * draws.std())
@@ -296,8 +294,7 @@ def test_criterion_09_sampler_calibration_shims(noiseless_dataset):
                          proposal_variances={"x": sd ** 2},
                          n_samples=40_000, n_burn=4_000, thin=4, seed=seed,
                          hastings_correction=corrected)
-        out = run_chain(noiseless_dataset, cfg, log_lik_fn=target,
-                        gibbs_update_s=False).param("x")
+        out = run_chain(noiseless_dataset, cfg, log_lik_fn=target).param("x")
         return out.mean(), batch_means_mcse(out)
 
     mean_c, mcse_c = boundary_mean(True, 101)
@@ -355,9 +352,8 @@ def test_criterion_12_forecast_error_dominance():
         observed_total = dataset.observed.series("total")
         for name, pins in (("reparam", defaults.REPARAM_PINS),
                            ("original", {})):
-            objective, batch_objective = fit_objective(dataset, W28)
-            fit = minimize(objective, space_for(pins), budget=500, seed=seed,
-                           batch_objective=batch_objective)
+            fit = minimize(fit_objective(dataset, W28), space_for(pins),
+                           budget=500, seed=seed)
             params = ModelParams.from_dict(fit.best_params)
             config = dataset.config
             init = build_initial_state(params, config.population_n,

@@ -101,6 +101,11 @@ class TestConfig:
             ("fit=5", "fit"),
             ("window=[false,5]", "window"),
             ("forecast.horizons=[true]", "forecast.horizons"),
+            ("profile.alpha=1.5", "profile.alpha"),
+            ("profile.alpha=0", "profile.alpha"),
+            ("profile.alpha=1", "profile.alpha"),
+            ("profile.grid_points=3", "profile.grid_points"),
+            ("profile.grid_points=4", "profile.grid_points"),
         ]:
             config = runconfig.load_config()
             runconfig.apply_set(config, assignment)

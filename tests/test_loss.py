@@ -171,22 +171,24 @@ class TestFitLossBatch:
 
 
 class TestFitObjective:
-    def test_pair_agrees_with_fit_loss(self, dataset):
+    def test_scores_a_list_with_fit_loss(self, dataset):
         window = FitWindow(0, 28)
-        objective, batch_objective = fit_objective(dataset, window)
+        objective = fit_objective(dataset, window)
         candidates = [p.as_dict() for p in _random_params(np.random.default_rng(2), 30)]
         want = [fit_loss(dataset, ModelParams.from_dict(c), window) for c in candidates]
-        assert [objective(c) for c in candidates] == want
-        assert batch_objective(candidates).tolist() == want
+        assert objective(candidates).tolist() == want
+        assert [float(objective([c])[0]) for c in candidates] == want
 
-    def test_custom_loss_has_no_batch_form(self, dataset):
+    def test_custom_loss_applied_to_each_candidate(self, dataset):
         seen = []
 
         def custom(data, params, window):
             seen.append((data, params, window))
-            return 2.0
+            return 2.0 * params.beta
 
-        objective, batch_objective = fit_objective(dataset, FitWindow(0, 5), custom)
-        assert batch_objective is None
-        assert objective(TRUE.as_dict()) == 2.0
-        assert seen == [(dataset, TRUE, FitWindow(0, 5))]
+        objective = fit_objective(dataset, FitWindow(0, 5), custom)
+        other = TRUE.replace(beta=0.5)
+        assert list(objective([TRUE.as_dict(), other.as_dict()])) == [
+            2.0 * TRUE.beta, 1.0]
+        assert seen == [(dataset, TRUE, FitWindow(0, 5)),
+                        (dataset, other, FitWindow(0, 5))]

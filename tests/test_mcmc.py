@@ -319,12 +319,6 @@ class TestRunChainMechanics:
         np.testing.assert_array_equal(a.s, b.s)
         assert not np.array_equal(a.thetas, c.thetas)
 
-    def test_gibbs_flag_incompatible_with_shim(self, clean_dataset):
-        config = small_config()
-        with pytest.raises(ValueError):
-            run_chain(clean_dataset, config, log_lik_fn=lambda t, s: 0.0,
-                      gibbs_update_s=True)
-
     def test_iter_draws_merges_pinned(self, clean_dataset):
         config = small_config(space=REPARAM_SPACE)
         chain = run_chain(clean_dataset, config)
@@ -397,8 +391,7 @@ class TestCalibration:
         def shim(theta, s):
             return -0.5 * ((theta["beta"] - mu0) / sd0) ** 2
 
-        chain = run_chain(clean_dataset, config, log_lik_fn=shim,
-                          gibbs_update_s=False)
+        chain = run_chain(clean_dataset, config, log_lik_fn=shim)
         draws = chain.param("beta")
         mcse = batch_means_mcse(draws)
         assert abs(draws.mean() - mu0) < 3.0 * mcse
@@ -429,8 +422,7 @@ class TestCalibration:
                                 proposal_variances={"x": sd ** 2},
                                 n_samples=40_000, n_burn=4_000, thin=4,
                                 seed=seed, hastings_correction=corrected)
-            chain = run_chain(clean_dataset, config, log_lik_fn=shim,
-                              gibbs_update_s=False)
+            chain = run_chain(clean_dataset, config, log_lik_fn=shim)
             draws = chain.param("x")
             return draws.mean(), batch_means_mcse(draws)
 

@@ -7,7 +7,8 @@ from scipy.special import ndtr, ndtri
 
 import seiard.optimize as optimize_module
 from seiard import defaults
-from seiard.loss import FitWindow, fit_objective
+from seiard.dynamics import ModelParams
+from seiard.loss import FitWindow, fit_loss, fit_objective
 from seiard.optimize import (
     METHODS,
     TPE_GAMMA,
@@ -20,6 +21,12 @@ from seiard.optimize import (
 from seiard.synthdata import NoiseSpec, default_config, generate
 
 
+def pointwise(f):
+    """A minimize objective that scores each candidate dict with f."""
+    return lambda candidates: [f(p) for p in candidates]
+
+
+@pointwise
 def quadratic_1d(p):
     return (p["x"] - 0.3) ** 2
 
@@ -81,13 +88,13 @@ class TestMinimize:
             seen.append(p["c"])
             return (p["x"] - 0.3) ** 2
 
-        minimize(objective, space, budget=40, seed=1, method=method)
+        minimize(pointwise(objective), space, budget=40, seed=1, method=method)
         assert all(c == 3.25 for c in seen)
 
     def test_never_leaves_box(self, method):
         space = SearchSpace(bounds={"x": (0.2, 0.8), "y": (-0.5, 0.5)})
-        res = minimize(lambda p: p["x"] + p["y"], space, budget=120, seed=2,
-                       method=method)
+        res = minimize(pointwise(lambda p: p["x"] + p["y"]), space,
+                       budget=120, seed=2, method=method)
         for params, _ in res.evaluations:
             assert 0.2 <= params["x"] <= 0.8
             assert -0.5 <= params["y"] <= 0.5
@@ -100,7 +107,7 @@ class TestMinimize:
 
     def test_best_loss_monotone_in_budget_same_seed(self, method):
         space = SearchSpace(bounds={"x": (0.0, 1.0), "y": (-1.0, 1.0)})
-        objective = lambda p: (p["x"] - 0.3) ** 2 + (p["y"] + 0.2) ** 2
+        objective = pointwise(lambda p: (p["x"] - 0.3) ** 2 + (p["y"] + 0.2) ** 2)
         small = minimize(objective, space, budget=80, seed=3, method=method)
         large = minimize(objective, space, budget=240, seed=3, method=method)
         # shared seed means the longer run replays the shorter one first
@@ -111,12 +118,13 @@ class TestMinimize:
     def test_no_feasible_point(self, method):
         space = SearchSpace(bounds={"x": (0.0, 1.0)})
         with pytest.raises(NoFeasiblePointError):
-            minimize(lambda p: math.inf, space, budget=30, seed=0, method=method)
+            minimize(pointwise(lambda p: math.inf), space, budget=30, seed=0,
+                     method=method)
 
     def test_nan_treated_as_infeasible(self, method):
         space = SearchSpace(bounds={"x": (0.0, 1.0)})
         res = minimize(
-            lambda p: math.nan if p["x"] < 0.5 else (p["x"] - 0.6) ** 2,
+            pointwise(lambda p: math.nan if p["x"] < 0.5 else (p["x"] - 0.6) ** 2),
             space, budget=60, seed=4, method=method)
         assert math.isfinite(res.best_loss)
         assert res.best_params["x"] >= 0.5
@@ -133,7 +141,7 @@ class TestMinimize:
 class TestTpeSmoke:
     def test_2d_quadratic_within_tolerance(self):
         space = SearchSpace(bounds={"x": (0.0, 1.0), "y": (-1.0, 1.0)})
-        objective = lambda p: (p["x"] - 0.3) ** 2 + (p["y"] + 0.2) ** 2
+        objective = pointwise(lambda p: (p["x"] - 0.3) ** 2 + (p["y"] + 0.2) ** 2)
         res = minimize(objective, space, budget=500, seed=0, method="tpe")
         assert abs(res.best_params["x"] - 0.3) <= 1e-2
         assert abs(res.best_params["y"] + 0.2) <= 1e-2
@@ -171,38 +179,46 @@ class TestResultContract:
 
 
 class TestBatchObjective:
-    """random+nm gives the same trace with or without a batch objective."""
+    """random+nm gives the same trace from the fit objective, which scores
+    each exploration batch in one call, as from fit_loss one at a time."""
 
     @pytest.fixture(scope="class")
-    def objectives(self):
-        dataset = generate(default_config(horizon=40, noise=NoiseSpec(0.05), seed=8))
-        return fit_objective(dataset, FitWindow(0, 28))
+    def dataset(self):
+        return generate(default_config(horizon=40, noise=NoiseSpec(0.05), seed=8))
 
     @staticmethod
-    def _both(objective, batch_objective, space, **kwargs):
+    def _both(objective, reference, space, **kwargs):
         batches = []
 
         def counted(candidates):
-            batches.append(len(candidates))
-            return batch_objective(candidates)
+            if len(candidates) > 1:
+                batches.append(len(candidates))
+            return objective(candidates)
 
-        scalar = minimize(objective, space, **kwargs)
-        batched = minimize(objective, space, batch_objective=counted, **kwargs)
-        assert batched.evaluations == scalar.evaluations
-        assert batched.best_loss == scalar.best_loss
+        batched = minimize(counted, space, **kwargs)
+        single = minimize(reference, space, **kwargs)
+        assert batched.evaluations == single.evaluations
+        assert batched.best_loss == single.best_loss
         return batches
 
-    def test_fit_with_warm_start(self, objectives):
+    @staticmethod
+    def _fit_pair(dataset):
+        window = FitWindow(0, 28)
+        return (fit_objective(dataset, window),
+                pointwise(lambda p: fit_loss(dataset, ModelParams.from_dict(p),
+                                             window)))
+
+    def test_fit_with_warm_start(self, dataset):
         space = SearchSpace(dict(defaults.SEARCH_BOUNDS), pinned=dict(defaults.REPARAM_PINS))
         warm = space.extract_free(defaults.TRUE_PARAMS.as_dict())
-        batches = self._both(*objectives, space, budget=150, seed=3,
+        batches = self._both(*self._fit_pair(dataset), space, budget=150, seed=3,
                              init_points=[warm, warm * 1.1])
         # five free parameters: one exploration batch of 10 * 5 + 10
         assert batches == [60]
 
-    def test_budget_below_batch_size(self, objectives):
+    def test_budget_below_batch_size(self, dataset):
         space = SearchSpace(dict(defaults.SEARCH_BOUNDS))
-        batches = self._both(*objectives, space, budget=37, seed=4,
+        batches = self._both(*self._fit_pair(dataset), space, budget=37, seed=4,
                              init_points=[space.extract_free(defaults.TRUE_PARAMS.as_dict())])
         assert batches == [36]
 
@@ -211,11 +227,11 @@ class TestBatchObjective:
         # so random+nm draws further batches
         space = SearchSpace(bounds={"x": (0.0, 1.0), "y": (0.0, 1.0)})
 
+        @pointwise
         def objective(p):
             return (p["x"] - 1.0) ** 2 + p["y"] if p["x"] > 0.97 else math.inf
 
-        batches = self._both(objective, lambda cs: [objective(c) for c in cs],
-                             space, budget=200, seed=1)
+        batches = self._both(objective, objective, space, budget=200, seed=1)
         assert len(batches) >= 2 and batches[0] == 30
 
 
@@ -277,6 +293,7 @@ class TestTpeProposal:
         centre = space.extract_free(defaults.TRUE_PARAMS.as_dict())
         widths = np.diff(space.free_bounds(), axis=1)[:, 0]
 
+        @pointwise
         def objective(p):
             x = space.extract_free(p)
             return float(np.sum(((x - centre) / widths) ** 2))

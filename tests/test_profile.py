@@ -120,6 +120,14 @@ class TestPlInterval:
         with pytest.raises(ValueError):
             pl_interval(curve, threshold=0.5)
 
+    def test_nan_threshold_rejected(self):
+        # chi2_threshold at an alpha outside (0, 1) is NaN
+        curve = make_curve([3, 1, 3])
+        with pytest.raises(ValueError):
+            pl_interval(curve, threshold=math.nan)
+        with pytest.raises(ValueError):
+            pl_interval(curve, threshold=chi2_threshold(curve, alpha=1.5))
+
     def test_w_curve_gives_two_segments(self):
         grid = np.linspace(0.0, 1.0, 9)
         values = [4, 0, 2, 4, 6, 4, 2, 0, 4]
@@ -149,8 +157,8 @@ class TestPlInterval:
         grid = np.linspace(0.0, 1.0, 11)
         curve = make_curve(np.abs(grid - 0.5), grid=grid)
         interval = pl_interval(curve, threshold=0.25)
-        assert interval.contains(0.5)
-        assert not interval.contains(0.9)
+        (segment,) = interval.segments
+        assert segment == pytest.approx((0.25, 0.75), abs=1e-12)
         assert interval.width == pytest.approx(0.5, abs=1e-12)
 
     @given(st.lists(st.floats(0.0, 100.0), min_size=5, max_size=40),
