@@ -13,7 +13,8 @@ Two methods, both deterministic for a fixed seed:
 
 ``random+nm``
     Uniform random search followed by Nelder-Mead restricted to the box
-    (candidate points clipped to the bounds).
+    (candidate points clipped to the bounds), ported from scipy's bounded
+    Nelder-Mead and bit-identical to it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
 from scipy.special import ndtr, ndtri
 
 from .artifacts import write_csv
@@ -255,6 +255,83 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _nelder_mead(func, x0, lower, upper):
+    """Bounded Nelder-Mead (Nelder & Mead 1965) until the convergence test.
+
+    A port of scipy 1.17's ``_minimize_neldermead`` (BSD-3-Clause, Copyright
+    (c) 2001-2002 Enthought, Inc. and 2003- SciPy Developers) for one
+    configuration: non-adaptive coefficients, the default initial simplex,
+    and bounds handled by clipping every trial point.  It runs the same numpy
+    operations in the same order, so it evaluates the same points bit for
+    bit.  There is no evaluation or iteration cap: the descent ends when
+    every vertex is within 1e-10 of the best one in each coordinate and
+    within 1e-12 of it in value, or when func raises.  func gets a copy of
+    each point.
+
+    Returns the best vertex and its value.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    xatol, fatol = 1e-10, 1e-12
+
+    def f(x):
+        return func(np.copy(x))
+
+    x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + nonzdelt) * y[k] if y[k] != 0 else zdelt
+        sim[k + 1] = y
+    # a vertex past the upper bound is reflected into the box, then clipped
+    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
+    fsim = np.full((n + 1,), np.inf)
+    for k in range(n + 1):
+        fsim[k] = f(sim[k])
+
+    def by_loss(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    # argsort is not stable, so ties may move: sort as often as scipy does,
+    # twice after the initial simplex and once after every step
+    sim, fsim = by_loss(*by_loss(sim, fsim))
+    while not (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+               and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = np.clip((1 + rho) * xbar - rho * sim[-1], lower, upper)
+        fxr = f(xr)
+        shrink = False
+        if fxr < fsim[0]:
+            xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lower, upper)
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1], lower, upper)
+            fxc = f(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = np.clip((1 - psi) * xbar + psi * sim[-1], lower, upper)
+            fxcc = f(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), lower, upper)
+                fsim[j] = f(sim[j])
+        sim, fsim = by_loss(sim, fsim)
+    return sim[0], fsim[0]
+
+
 def _run_random_nm(recorder: _Recorder, rng, init_points) -> None:
     space = recorder.space
     batch = 10 * len(space.free_names) + 10
@@ -266,24 +343,19 @@ def _run_random_nm(recorder: _Recorder, rng, init_points) -> None:
     # indices already consumed by a Nelder-Mead descent; restarts pick the
     # best point outside them so leftover budget explores fresh basins
     polished: set[int] = set()
-    bounds = [tuple(b) for b in space.free_bounds()]
+    lower, upper = space.free_bounds().T
 
     def polish(start_index: int) -> None:
         polished.add(start_index)
 
-        def wrapped(x):
+        def wrapped(x):  # x is inside the box: _nelder_mead clips every point
             if recorder.exhausted:
                 raise _BudgetExhausted
             polished.add(len(recorder.evaluations))
-            return recorder.evaluate(space.clip_free(x))
+            return recorder.evaluate(x)
 
         try:
-            scipy_minimize(
-                wrapped, recorder.free_points[start_index],
-                method="Nelder-Mead", bounds=bounds,
-                options={"maxfev": recorder.budget - len(recorder.evaluations) + 1,
-                         "xatol": 1e-10, "fatol": 1e-12},
-            )
+            _nelder_mead(wrapped, recorder.free_points[start_index], lower, upper)
         except _BudgetExhausted:
             pass
 

@@ -403,17 +403,20 @@ class TestEntryPoint:
                        "--out", str(tmp_path / "r"))
         assert code == EXIT_USAGE
 
-    def test_import_leaves_scipy_stats_out(self):
-        # scipy.stats costs about half a second of every start-up
+    def test_import_leaves_scipy_stats_optimize_linalg_out(self):
+        # scipy.stats and scipy.optimize (which loads scipy.linalg) each cost
+        # a quarter to half a second of every start-up
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        heavy = ("scipy.stats", "scipy.optimize", "scipy.linalg")
         result = subprocess.run(
             [sys.executable, "-c",
-             "import sys, seiard.cli; print('scipy.stats' in sys.modules)"],
+             f"import sys, seiard.cli; print([m for m in {heavy!r} "
+             "if m in sys.modules])"],
             capture_output=True, text=True, env=env, check=True)
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "[]"
 
     def test_bad_threads_usage_error(self, tmp_path):
         code = run_cli("report", "--out", str(tmp_path / "r"), "--threads", "0")

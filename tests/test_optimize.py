@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 from scipy.special import ndtr, ndtri
 
 import seiard.optimize as optimize_module
@@ -233,6 +234,142 @@ class TestBatchObjective:
 
         batches = self._both(objective, objective, space, budget=200, seed=1)
         assert len(batches) >= 2 and batches[0] == 30
+
+
+class _Stop(Exception):
+    """Raised by a recording objective to end a descent."""
+
+
+def _recording(f, raise_on):
+    """An objective that records a copy of each point it scores and raises
+    _Stop on call number raise_on (never when it is None)."""
+    points = []
+
+    def func(x):
+        if len(points) + 1 == raise_on:
+            raise _Stop
+        points.append(np.array(x))
+        return float(f(x))
+    return points, func
+
+
+def _nm_pair(f, x0, lower, upper, maxfev=2000, raise_on=None):
+    """Run the port and scipy's bounded Nelder-Mead on f from x0 and assert
+    that they evaluate the same points bit for bit.
+
+    scipy stops after maxfev evaluations; the port, which has no cap, is
+    stopped by its objective raising on the next call.  Returns the points,
+    the port's (best vertex, value) and scipy's result, each of the last two
+    None when the run ended in _Stop.
+    """
+    lower, upper = np.array(lower, dtype=float), np.array(upper, dtype=float)
+    ours, func = _recording(f, maxfev + 1 if raise_on is None else raise_on)
+    try:
+        best = optimize_module._nelder_mead(func, np.array(x0, dtype=float),
+                                            lower, upper)
+    except _Stop:
+        best = None
+    theirs, func = _recording(f, raise_on)
+    try:
+        result = scipy_minimize(func, np.array(x0, dtype=float),
+                                method="Nelder-Mead", bounds=list(zip(lower, upper)),
+                                options={"xatol": 1e-10, "fatol": 1e-12,
+                                         "maxfev": maxfev})
+    except _Stop:
+        result = None
+    assert len(ours) == len(theirs)
+    assert np.array_equal(np.array(ours), np.array(theirs))
+    return np.array(ours), best, result
+
+
+def _spiked(x):
+    # minimum 0 at (1, 1), with a spike of 10 on the points that lie within
+    # 0.04 of it, so a contraction towards (1, 1) fails and the simplex shrinks
+    x = np.asarray(x)
+    weights = np.arange(1, len(x) + 1)
+    spike = 10.0 if 0 < np.max(np.abs(x - 1)) < 0.04 else 0.0
+    return float(np.sum(weights * np.abs(x - 1)) + spike)
+
+
+class TestNelderMeadParity:
+    """The port evaluates the points scipy's bounded Nelder-Mead evaluates,
+    in the same order, in each branch of the method."""
+
+    def test_zero_coordinate_steps_by_zdelt(self):
+        points, _, _ = _nm_pair(lambda x: np.sum((x - [0.3, 0.4]) ** 2),
+                                [0.0, 0.5], [-1, -1], [1, 1])
+        assert points[1][0] == 0.00025 and points[1][1] == 0.5
+        assert points[2][1] == pytest.approx(0.525)
+
+    def test_start_on_upper_bound_reflects(self):
+        points, _, _ = _nm_pair(lambda x: np.sum((x - [0.3, 0.4]) ** 2),
+                                [1.0, 0.5], [0, 0], [1, 1])
+        # 1.05 lies past the bound and is reflected to 2 - 1.05
+        assert points[1][0] == pytest.approx(0.95)
+
+    def test_clipped_reflection_and_expansion(self):
+        # simplex (0.96, 0.992 reflected from 1.008); reflection 1.024 and
+        # expansion 1.056 are both clipped onto the bound
+        points, best, _ = _nm_pair(lambda x: -x[0], [0.96], [0], [1])
+        assert points[1][0] == pytest.approx(0.992)
+        assert points[2][0] == 1.0 and points[3][0] == 1.0
+        assert best[0][0] == 1.0
+
+    def test_outside_contraction(self):
+        # simplex (1, 1.05); the reflection 0.95 beats 1.05 but not 1, so
+        # the next point is 1.5 * 1 - 0.5 * 1.05
+        points, _, _ = _nm_pair(lambda x: (x[0] - 0.99) ** 2, [1.0], [-10], [10])
+        assert points[2][0] == pytest.approx(0.95)
+        assert points[3][0] == pytest.approx(0.975)
+
+    def test_inside_contraction(self):
+        # the reflection 0.95 is worse than both vertices, so the next point
+        # is halfway between 1 and 1.05
+        points, _, _ = _nm_pair(lambda x: (x[0] - 1.01) ** 2, [1.0], [-10], [10])
+        assert points[2][0] == pytest.approx(0.95)
+        assert points[3][0] == pytest.approx(1.025)
+
+    def test_shrink(self):
+        # the inside contraction (1.0125, 1.025) lands on the spike, so both
+        # other vertices move halfway to the best one, (1, 1)
+        points, _, _ = _nm_pair(_spiked, [1.0, 1.0], [0, 0], [2, 2], maxfev=300)
+        assert points[4] == pytest.approx([1.0125, 1.025])
+        assert points[5] == pytest.approx([1.025, 1.0])
+        assert points[6] == pytest.approx([1.0, 1.025])
+
+    def test_infinite_region(self):
+        def f(x):
+            if x[0] + x[1] > 1.5:
+                return math.inf
+            return (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
+
+        points, best, result = _nm_pair(f, [0.2, 0.2], [-2, -2], [2, 2])
+        assert any(math.isinf(f(x)) for x in points)
+        assert best is not None and result.status == 0
+
+    def test_stops_at_convergence_test(self):
+        space = SearchSpace(dict(defaults.SEARCH_BOUNDS), pinned=dict(defaults.REPARAM_PINS))
+        bounds = space.free_bounds()
+        centre = space.extract_free(defaults.TRUE_PARAMS.as_dict())
+        widths = bounds[:, 1] - bounds[:, 0]
+        points, best, result = _nm_pair(
+            lambda x: float(np.sum(((x - centre) / widths) ** 2)),
+            bounds.mean(axis=1), bounds[:, 0], bounds[:, 1], maxfev=20_000)
+        assert result.status == 0 and len(points) == result.nfev < 20_000
+        assert np.array_equal(best[0], result.x) and best[1] == result.fun
+
+    def test_exception_in_initial_simplex(self):
+        points, best, result = _nm_pair(
+            lambda x: np.sum(x ** 2), [0.5, 0.5, 0.5], [0, 0, 0], [1, 1, 1],
+            raise_on=3)
+        assert len(points) == 2 and best is None and result is None
+
+    def test_exception_in_shrink(self):
+        # calls 6 and 7 are the shrink's (see test_shrink); stop between them
+        points, best, result = _nm_pair(_spiked, [1.0, 1.0], [0, 0], [2, 2],
+                                        raise_on=7)
+        assert len(points) == 6 and best is None and result is None
+        assert points[5] == pytest.approx([1.025, 1.0])
 
 
 def _reference_logpdf(x, centers, bandwidth, lo, hi):

@@ -37,6 +37,9 @@ SCENARIO = ("--set", "dataset.a0_fatal_fraction=0.5", "--set", "dataset.dt=0.25"
 RUNS = (
     ("simulate", ("simulate", *NOISY)),
     ("fit", ("fit", *NOISY, "--set", "fit.budget=150")),
+    # the one run whose Nelder-Mead descent reaches the convergence test
+    # (after about 1 000 evaluations) and restarts on the leftover budget
+    ("fit-converge", ("fit", *NOISY, "--set", "fit.budget=2500")),
     ("fit-112d", ("fit", *NOISY, "--set", "window=[0,112]",
                   "--set", "fit.budget=120")),
     ("fit-original-tpe", ("fit", *NOISY, "--set", "variant=original",
