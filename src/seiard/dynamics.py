@@ -425,23 +425,27 @@ def integrate_batch(params, init: np.ndarray, horizon: int,
     return states, diverged
 
 
-def _observed_rows(states: np.ndarray) -> np.ndarray:
-    """The OBSERVED_SERIES rows of (T, 7) or (T, 7, B) states, as a (4, T)
-    or (4, T, B) array.
+def _observed_rows(states: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the OBSERVED_SERIES rows of (T, 7) or (T, 7, B) states into out,
+    a (4, T) or (4, T, B) array or view, and return it.
 
     active = a_recov + a_fatal, recovered = r, deceased = d,
     total = active + recovered + deceased.  E and I stay hidden.
     """
-    active = states[:, 3] + states[:, 4]
-    recovered = states[:, 5]
-    deceased = states[:, 6]
-    return np.stack([active, recovered, deceased, active + recovered + deceased])
+    active, recovered, deceased, total = out
+    np.add(states[:, 3], states[:, 4], out=active)
+    recovered[...] = states[:, 5]
+    deceased[...] = states[:, 6]
+    np.add(active, recovered, out=total)
+    np.add(total, deceased, out=total)
+    return out
 
 
 def observe(trajectory: Trajectory) -> ObservedSeries:
     """Map a trajectory onto the reportable series."""
+    values = np.empty((len(OBSERVED_SERIES), len(trajectory.states)))
     return ObservedSeries(times=trajectory.times.copy(),
-                          values=_observed_rows(trajectory.states))
+                          values=_observed_rows(trajectory.states, values))
 
 
 def build_initial_state(params: ModelParams, population_n: float,
@@ -511,7 +515,10 @@ def simulate_observed_batch(params, scenario: DatasetConfig,
                                          scenario.a0_fatal_fraction)
                      for p in params], dtype=float).T
     states, diverged = integrate_batch(params, init, horizon, scenario.dt)
-    observed = np.ascontiguousarray(_observed_rows(states).transpose(2, 0, 1))
+    observed = np.empty((len(params), len(OBSERVED_SERIES), horizon + 1))
+    # filled through its (4, T, B) view, the layout of the states
+    _observed_rows(states, observed.transpose(1, 2, 0))
+    del states
     observed[diverged] = 0.0
     return observed, diverged
 

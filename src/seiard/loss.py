@@ -8,16 +8,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelParams, simulate_observed_batch
+from .dynamics import PARAM_NAMES, ModelParams, simulate_observed_batch
 from .synthdata import Dataset
 
 # Denominator guard: counts below one person are treated as one person so a
 # near-empty series cannot blow the percentage error up.
 EPSILON_PERSONS = 1.0
 
-# Vectors per simulate_observed_batch call, which bounds its
+# At most this many vectors, and this many solved day-columns (vectors times
+# horizon + 1), per simulate_observed_batch call, which bounds its
 # (horizon + 1, 7, columns) array.
 BATCH_COLUMNS = 256
+BATCH_DAY_COLUMNS = 20_000
 
 
 @dataclass(frozen=True)
@@ -90,35 +92,60 @@ def fit_loss_batch(dataset: Dataset, params, window: FitWindow) -> np.ndarray:
     Simulation always starts at day 0 in the dataset's scenario (its observed
     initial counts, population and step) with the candidate's e0/i0, so the
     window only selects which days are scored.  An entry is +inf where its
-    solve diverges.  The vectors go to simulate_observed_batch BATCH_COLUMNS
-    at a time.
+    solve diverges.  The vectors go to simulate_observed_batch in chunks whose
+    sizes differ by at most one, each within BATCH_COLUMNS vectors and
+    BATCH_DAY_COLUMNS day-columns.
     """
     params = list(params)
     _check_window(dataset, window)
     reported = dataset.observed.window(window.t_begin, window.t_end).values
     losses = np.empty(len(params))
-    for start in range(0, len(params), BATCH_COLUMNS):
-        chunk = params[start:start + BATCH_COLUMNS]
-        observed, diverged = simulate_observed_batch(chunk, dataset.config,
-                                                     window.t_end)
+    width = max(1, min(BATCH_COLUMNS, BATCH_DAY_COLUMNS // (window.t_end + 1)))
+    count = -(-len(params) // width)
+    for k in range(count):
+        start, stop = len(params) * k // count, len(params) * (k + 1) // count
+        observed, diverged = simulate_observed_batch(
+            params[start:stop], dataset.config, window.t_end)
         values = _mean_mape(reported, observed[:, :, window.t_begin:])
         values[diverged] = math.inf
-        losses[start:start + len(chunk)] = values
+        losses[start:stop] = values
     return losses
 
 
-def fit_objective(dataset: Dataset, window: FitWindow, loss_fn=None):
+class FitObjective:
     """The objective optimize.minimize takes to fit the dataset over the
     window: a callable mapping a list of candidate {name: value} dicts to one
     loss per candidate.
 
-    It gives fit_loss_batch over the candidates, or applies a custom
-    loss_fn(dataset, params, window) -> float to each candidate in turn.
+    With the standard loss it remembers every loss it computes, keyed by the
+    candidate's float64 bytes (so 0.0 and -0.0 stay apart), and sends the
+    candidates it has not seen to one fit_loss_batch.  A loss does not depend
+    on the batch it was solved in, so a remembered loss is the one a new
+    solve gives, and filling the memory ahead of a run changes no result.
+    A custom loss_fn(dataset, params, window) -> float is applied to each
+    candidate in turn, and nothing is remembered.  The class is module level
+    so that it pickles, memory included, into worker processes.
     """
-    def objective(candidates):
-        params = [ModelParams.from_dict(c) for c in candidates]
-        if loss_fn is None:
-            return fit_loss_batch(dataset, params, window)
-        return [loss_fn(dataset, p, window) for p in params]
 
-    return objective
+    def __init__(self, dataset: Dataset, window: FitWindow, loss_fn=None):
+        self.dataset = dataset
+        self.window = window
+        self.loss_fn = loss_fn
+        self.memory: dict[bytes, float] = {}
+
+    def __call__(self, candidates):
+        params = [ModelParams.from_dict(c) for c in candidates]
+        if self.loss_fn is not None:
+            return [self.loss_fn(self.dataset, p, self.window) for p in params]
+        keys = [np.array([getattr(p, name) for name in PARAM_NAMES]).tobytes()
+                for p in params]
+        unseen = {key: p for key, p in zip(keys, params) if key not in self.memory}
+        if unseen:
+            losses = fit_loss_batch(self.dataset, unseen.values(), self.window)
+            self.memory.update(zip(unseen, losses.tolist()))
+        return np.array([self.memory[key] for key in keys])
+
+
+def fit_objective(dataset: Dataset, window: FitWindow, loss_fn=None) -> FitObjective:
+    """A FitObjective for the dataset and window, with an empty memory."""
+    return FitObjective(dataset, window, loss_fn)

@@ -15,7 +15,7 @@ from scipy.special import gammaincinv
 from . import defaults
 from .artifacts import write_csv, write_json
 from .loss import FitWindow, fit_loss_batch, fit_objective
-from .optimize import NoFeasiblePointError, SearchSpace, minimize
+from .optimize import NoFeasiblePointError, SearchSpace, first_exploration, minimize
 from .posterior import loss_quantile
 from .synthdata import Dataset
 
@@ -101,13 +101,11 @@ def _point_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
 
-def _profile_point(dataset: Dataset, param_name: str, value: float,
-                   space: SearchSpace, window: FitWindow, inner_budget: int,
-                   seed: int, method: str, init_points,
-                   loss_fn=None) -> tuple[float, dict, bool]:
+def _profile_point(objective, param_name: str, value: float,
+                   space: SearchSpace, inner_budget: int, seed: int,
+                   method: str, init_points) -> tuple[float, dict, bool]:
     try:
-        result = minimize(fit_objective(dataset, window, loss_fn),
-                          space.pin(param_name, value),
+        result = minimize(objective, space.pin(param_name, value),
                           budget=inner_budget, seed=seed, method=method,
                           init_points=init_points)
     except NoFeasiblePointError:
@@ -125,10 +123,9 @@ def _strip_to_free(params: dict[str, float], space: SearchSpace,
         return None
 
 
-def _sweep(dataset: Dataset, param_name: str, grid: np.ndarray, indices,
-           start: list[float] | None, space: SearchSpace, window: FitWindow,
-           inner_budget: int, seed: int, method: str,
-           loss_fn) -> list[tuple[int, float, dict, bool]]:
+def _sweep(objective, param_name: str, grid: np.ndarray, indices,
+           start: list[float] | None, space: SearchSpace, inner_budget: int,
+           seed: int, method: str) -> list[tuple[int, float, dict, bool]]:
     """Profile grid[j] for j in indices, in order; each inner fit also starts
     from the previous feasible argmin, the first from `start` (or none)."""
     results = []
@@ -136,8 +133,8 @@ def _sweep(dataset: Dataset, param_name: str, grid: np.ndarray, indices,
     for j in indices:
         init = [previous] if previous is not None else None
         loss, argmin, failed = _profile_point(
-            dataset, param_name, float(grid[j]), space, window, inner_budget,
-            _point_seed(seed, j), method, init, loss_fn)
+            objective, param_name, float(grid[j]), space, inner_budget,
+            _point_seed(seed, j), method, init)
         results.append((j, loss, argmin, failed))
         if not failed:
             previous = _strip_to_free({**argmin, param_name: grid[j]},
@@ -147,6 +144,24 @@ def _sweep(dataset: Dataset, param_name: str, grid: np.ndarray, indices,
 
 def _sweep_star(job):
     return _sweep(*job)
+
+
+def _first_explorations(param_name: str, grid: np.ndarray, space: SearchSpace,
+                        inner_budget: int, seed: int, warm_start: bool,
+                        fit_center: bool) -> list[dict[str, float]]:
+    """The first exploration batch of every random+nm fit profile_likelihood
+    runs: the global fit's when fit_center, then each grid point's, with one
+    init point under a warm start and none under a cold one.  A warm-started
+    point whose sweep has no start yet runs without one, so its batch may
+    hold one more candidate, which its fit solves."""
+    candidates = []
+    if fit_center:
+        candidates += first_exploration(space, inner_budget, _point_seed(seed, grid.size))
+    for j, value in enumerate(grid):
+        candidates += first_exploration(space.pin(param_name, float(value)),
+                                        inner_budget, _point_seed(seed, j),
+                                        n_init=int(warm_start))
+    return candidates
 
 
 def profile_likelihood(dataset: Dataset, param_name: str, grid=None,
@@ -163,6 +178,10 @@ def profile_likelihood(dataset: Dataset, param_name: str, grid=None,
     outward from the global fit, which suppresses spurious bumps caused by
     inner optimizer failures; without it every grid point is its own sweep.
     Each grid point has its own seed, so the curve is the same for any n_jobs.
+    With the standard loss and random+nm, the first exploration batch of
+    every inner fit is known from the seeds alone, so all of them are solved
+    in one batch up front, before the sweeps go to processes, and the fits
+    read those losses back.
 
     Args:
         dataset: observations to fit against.
@@ -179,9 +198,9 @@ def profile_likelihood(dataset: Dataset, param_name: str, grid=None,
             warm-starting, a global fit is run first.
         n_jobs: above 1, the sweeps run in up to this many processes.
         loss_fn: loss as (dataset, params, window) -> float, applied to
-            one candidate at a time; defaults to the standard fit loss,
-            whose exploration batches random+nm solves together.  Must be
-            picklable when n_jobs > 1.
+            one candidate at a time, with no batch solved up front;
+            defaults to the standard fit loss.  Must be picklable when
+            n_jobs > 1.
 
     Returns:
         PlCurve over the grid.
@@ -201,12 +220,16 @@ def profile_likelihood(dataset: Dataset, param_name: str, grid=None,
         raise ValueError("grid must be strictly increasing")
     n = grid.size
 
+    objective = fit_objective(dataset, window, loss_fn)
+    if method == "random+nm" and loss_fn is None:
+        objective(_first_explorations(param_name, grid, space, inner_budget,
+                                      seed, warm_start,
+                                      warm_start and center is None))
     if warm_start:
         if center is None:
             # the global fit gets the seed slot one past the grid indices
-            fit = minimize(fit_objective(dataset, window, loss_fn), space,
-                           budget=inner_budget, seed=_point_seed(seed, n),
-                           method=method)
+            fit = minimize(objective, space, budget=inner_budget,
+                           seed=_point_seed(seed, n), method=method)
             center = fit.best_params
         k = int(np.argmin(np.abs(grid - center[param_name])))
         from_center = _strip_to_free(center, space, param_name)
@@ -214,8 +237,8 @@ def profile_likelihood(dataset: Dataset, param_name: str, grid=None,
                   (range(k - 1, -1, -1), from_center)]
     else:
         sweeps = [((j,), None) for j in range(n)]
-    jobs = [(dataset, param_name, grid, indices, start, space, window,
-             inner_budget, seed, method, loss_fn) for indices, start in sweeps]
+    jobs = [(objective, param_name, grid, indices, start, space, inner_budget,
+             seed, method) for indices, start in sweeps]
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=min(n_jobs, len(jobs))) as pool:
             outputs = list(pool.map(_sweep_star, jobs))

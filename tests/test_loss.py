@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -27,6 +28,11 @@ TRUE = defaults.TRUE_PARAMS
 @pytest.fixture(scope="module")
 def dataset():
     return generate(default_config(horizon=60))
+
+
+@pytest.fixture(scope="module")
+def long_dataset():
+    return generate(default_config(horizon=400))
 
 
 class TestMape:
@@ -151,7 +157,7 @@ class TestFitLossBatch:
     @pytest.mark.parametrize("window", [FitWindow(0, 1), FitWindow(0, 28),
                                         FitWindow(3, 11), FitWindow(10, 120)])
     def test_equals_scalar_and_reference(self, noisy, window, monkeypatch):
-        # three chunks, the last one below dynamics.BATCH_MIN, with diverging
+        # three chunks of dynamics.BATCH_MIN (20) vectors, with diverging
         # candidates among the finite ones
         monkeypatch.setattr(loss_module, "BATCH_COLUMNS", 24)
         params = _random_params(np.random.default_rng(window.t_end), 60)
@@ -161,6 +167,34 @@ class TestFitLossBatch:
         assert got.tobytes() == np.array(want).tobytes()
         assert want == [reference_fit_loss(noisy, p, window) for p in params]
         assert np.isinf(got).tolist() == [k in (5, 40) for k in range(60)]
+
+    @pytest.mark.parametrize("n, t_end, day_columns", [
+        (1, 28, None), (255, 28, None), (257, 28, None), (600, 28, None),
+        (313, 224, None), (90, 400, None), (21, 400, None), (7, 120, 50)])
+    def test_chunks(self, long_dataset, n, t_end, day_columns, monkeypatch):
+        # the spy solves nothing: only the split is under test
+        sizes = []
+        seen = []
+
+        def spy(params, scenario, horizon):
+            sizes.append(len(params))
+            seen.extend(params)
+            return (np.zeros((len(params), len(OBSERVED_SERIES), horizon + 1)),
+                    np.zeros(len(params), dtype=bool))
+
+        monkeypatch.setattr(loss_module, "simulate_observed_batch", spy)
+        if day_columns is not None:
+            monkeypatch.setattr(loss_module, "BATCH_DAY_COLUMNS", day_columns)
+        params = _random_params(np.random.default_rng(n), n)
+        fit_loss_batch(long_dataset, params, FitWindow(0, t_end))
+        assert seen == params
+        assert max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= 256
+        assert (max(sizes) * (t_end + 1) <= loss_module.BATCH_DAY_COLUMNS
+                or max(sizes) == 1)
+        # the fewest chunks those bounds allow
+        width = max(1, min(256, loss_module.BATCH_DAY_COLUMNS // (t_end + 1)))
+        assert len(sizes) == math.ceil(n / width)
 
     def test_empty_batch(self, noisy):
         assert fit_loss_batch(noisy, [], FitWindow(0, 28)).shape == (0,)
@@ -192,3 +226,40 @@ class TestFitObjective:
             2.0 * TRUE.beta, 1.0]
         assert seen == [(dataset, TRUE, FitWindow(0, 5)),
                         (dataset, other, FitWindow(0, 5))]
+
+    def test_remembers_what_it_solved(self, dataset, monkeypatch):
+        solved = []
+        original = loss_module.simulate_observed_batch
+
+        def spy(params, scenario, horizon):
+            params = list(params)
+            solved.extend(params)
+            return original(params, scenario, horizon)
+
+        monkeypatch.setattr(loss_module, "simulate_observed_batch", spy)
+        window = FitWindow(0, 28)
+        objective = fit_objective(dataset, window)
+        params = _random_params(np.random.default_rng(4), 30)
+        candidates = [p.as_dict() for p in params]
+        first = objective(candidates[:20])
+        assert solved == params[:20]
+        # seen candidates come from memory, a repeat within a call is solved once
+        again = objective(candidates[10:] + candidates[25:])
+        assert solved == params
+        want = fit_loss_batch(dataset, params, window)
+        assert first.tobytes() == want[:20].tobytes()
+        assert again.tobytes() == np.concatenate([want[10:], want[25:]]).tobytes()
+
+    def test_memory_keys_are_exact_bits(self, dataset):
+        objective = fit_objective(dataset, FitWindow(0, 28))
+        objective([TRUE.replace(e0=0.0).as_dict(), TRUE.replace(e0=-0.0).as_dict(),
+                   TRUE.replace(beta=np.nextafter(TRUE.beta, 1.0)).as_dict()])
+        objective([TRUE.replace(e0=0.0).as_dict()])
+        assert len(objective.memory) == 3
+
+    def test_pickles_with_its_memory(self, dataset):
+        objective = fit_objective(dataset, FitWindow(0, 28))
+        objective([TRUE.as_dict()])
+        copy = pickle.loads(pickle.dumps(objective))
+        assert copy.memory == objective.memory
+        assert copy([TRUE.as_dict()]).tolist() == objective([TRUE.as_dict()]).tolist()

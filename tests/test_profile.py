@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
+import seiard.loss as loss_module
 from seiard import defaults, synthdata
 from seiard.dynamics import ModelParams
 from seiard.loss import FitWindow, fit_loss
@@ -280,6 +281,48 @@ class TestProfileLikelihood:
         np.testing.assert_array_equal(seq.profiled_loss, par.profiled_loss)
         assert seq.argmins == par.argmins
         np.testing.assert_array_equal(seq.failed, par.failed)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("warm_start", [True, False])
+    def test_up_front_solve_changes_no_bit(self, clean_dataset, warm_start, n_jobs):
+        # a custom loss_fn takes the path without the up-front solve; the
+        # budget leaves room for Nelder-Mead after each exploration batch
+        kwargs = dict(
+            grid=[0.18, 0.22, 0.26, 0.30, 0.34], space=reparam_space(),
+            window=FitWindow(0, 21), inner_budget=70, seed=6,
+            warm_start=warm_start, n_jobs=n_jobs)
+        batched = profile_likelihood(clean_dataset, "beta", **kwargs)
+        single = profile_likelihood(clean_dataset, "beta", loss_fn=fit_loss, **kwargs)
+        assert batched.profiled_loss.tobytes() == single.profiled_loss.tobytes()
+        assert batched.argmins == single.argmins
+        assert batched.failed.tolist() == single.failed.tolist()
+
+    @pytest.mark.parametrize("warm_start", [True, False])
+    def test_exploration_batches_solved_once_up_front(self, clean_dataset,
+                                                      warm_start, monkeypatch):
+        solved = []
+        original = loss_module.simulate_observed_batch
+
+        def spy(params, scenario, horizon):
+            params = list(params)
+            solved.append([p.as_dict() for p in params])
+            return original(params, scenario, horizon)
+
+        monkeypatch.setattr(loss_module, "simulate_observed_batch", spy)
+        grid = [0.18, 0.22, 0.26, 0.30]
+        profile_likelihood(clean_dataset, "beta", grid=grid, space=reparam_space(),
+                           window=FitWindow(0, 21), inner_budget=70, seed=6,
+                           warm_start=warm_start)
+        # four free parameters at a grid point: batches of 10 * 4 + 10, after
+        # one init point under a warm start; the global fit's batch of 60 first
+        up_front = (60 if warm_start else 0) + len(grid) * 50
+        sizes = [len(call) for call in solved]
+        batched = [n for n in sizes if n > 1]
+        assert sum(batched) == up_front
+        assert sizes[:len(batched)] == batched
+        # and no candidate, the Nelder-Mead ones included, is solved twice
+        vectors = [tuple(p.values()) for call in solved for p in call]
+        assert len(set(vectors)) == len(vectors)
 
     def test_validation_errors(self, clean_dataset):
         with pytest.raises(ValueError):

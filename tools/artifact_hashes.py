@@ -51,6 +51,9 @@ RUNS = (
     ("profile-posterior", ("profile", *NOISY, *SMALL_PROFILE, *SMALL_MCMC,
                            "--set", "profile.threshold=posterior",
                            "--set", 'profile.params=["beta","p_fatal"]')),
+    # 313 exploration vectors at 225 days: several loss chunks in one solve
+    ("profile-long", ("profile", *NOISY, *SMALL_PROFILE,
+                      "--set", "profile.windows=[224]")),
     ("profile-threads", ("profile", *NOISY, *SMALL_PROFILE, "--threads", "2")),
     ("profile-cold-threads", ("profile", *NOISY, *SMALL_PROFILE,
                               "--set", "profile.warm_start=false",
