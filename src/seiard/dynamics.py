@@ -9,8 +9,17 @@ observed directly.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import math
+import os
+import shutil
+import subprocess
+import tempfile
+import warnings
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,11 +37,12 @@ OBSERVED_SERIES = ("active", "recovered", "deceased", "total")
 # clamped; anything larger means the solve actually went bad.
 NEGATIVE_CLAMP = 1e-9
 
-# simulate_observed_batch solves fewer vectors than this one by one.  The
-# batched kernel costs about 12 ms per 28 days however few columns it has, a
-# scalar solve about 0.6 ms; the two break even near 20 vectors at 28 and at
-# 112 days alike.
-BATCH_MIN = 20
+# The C day loop and the one way it is built.  No flag comes from the
+# environment (CFLAGS): -ffp-contract=off stops the compiler from fusing a
+# multiply and an add, and -ffast-math or -march could reorder or fuse
+# arithmetic, any of which would change bits.
+KERNEL_SOURCE = Path(__file__).with_name("_rk4.c")
+KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 class ParameterDomainError(ValueError):
@@ -163,48 +173,25 @@ def _steps_per_day(horizon: int, dt: float) -> int:
     return max(1, round(1.0 / dt))
 
 
-def _population(init: np.ndarray):
-    """Check a (7,) or (7, B) day-0 state and return its total(s), summed in
-    COMPARTMENTS order."""
-    if (init < 0).any():
-        for name, row in zip(COMPARTMENTS, init):
-            if (row < 0).any():
-                raise ParameterDomainError(f"init.{name} must be >= 0, got {row.min()}")
+def _population(init: list[float]) -> float:
+    """Check a day-0 state, as 7 floats in COMPARTMENTS order, and return its
+    total, summed in that order."""
+    for name, value in zip(COMPARTMENTS, init):
+        if value < 0:
+            raise ParameterDomainError(f"init.{name} must be >= 0, got {value}")
     s, e, i, ar, af, r, d = init
     population_n = s + e + i + ar + af + r + d
-    if (population_n <= 0).any():
+    if population_n <= 0:
         raise ParameterDomainError("initial state has no population")
     return population_n
 
 
-def integrate(params: ModelParams, init: np.ndarray, horizon: int, dt: float = 0.1) -> Trajectory:
-    """Integrate the model with classic fixed-step RK4, sampling integer days.
-
-    The output is bit-stable: every floating-point operation runs in a fixed
-    order, so the same inputs give the same bytes on every call.
-    tests/test_dynamics.py pins it bit for bit against the closure-based
-    reference in tests/rk4_reference.py.
-
-    Args:
-        params: model parameters.
-        init: (7,) day-0 state in COMPARTMENTS order; the conserved
-            population size is its total.
-        horizon: last day to report (trajectory covers days 0..horizon).
-        dt: nominal step in days, 0 < dt <= 1; snapped to an integer number
-            of substeps per day so day boundaries are hit exactly.
-
-    Returns:
-        Trajectory with shape (horizon + 1, 7) states.
-
-    Raises:
-        DivergenceError: NaN/overflow, or a compartment dropping below zero
-            by more than the clamping tolerance.
-    """
-    steps_per_day = _steps_per_day(horizon, dt)
-    init = np.asarray(init, dtype=float)
-    # Python floats: the loop below is several times slower on numpy scalars
-    population_n = float(_population(init))
-    s, e, i, ar, af, r, d = init.tolist()
+def _python_days(params: ModelParams, init: list[float], population_n: float,
+                 horizon: int, steps_per_day: int) -> np.ndarray:
+    """The RK4 day loop in Python: the reference the C loop must match, and
+    the solve where no C compiler is available.  Returns the (horizon + 1, 7)
+    states."""
+    s, e, i, ar, af, r, d = init
     h = 1.0 / steps_per_day
 
     beta_n = params.beta / population_n
@@ -288,164 +275,171 @@ def integrate(params: ModelParams, init: np.ndarray, horizon: int, dt: float = 0
                 and 0.0 <= d < inf):
             s, e, i, ar, af, r, d = _check_day(day, (s, e, i, ar, af, r, d))
         rows.append((s, e, i, ar, af, r, d))
-
-    return Trajectory(times=np.arange(horizon + 1, dtype=float),
-                      states=np.array(rows, dtype=float))
+    return np.array(rows, dtype=float)
 
 
-def integrate_batch(params, init: np.ndarray, horizon: int,
-                    dt: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate B parameter vectors at once with the RK4 of integrate.
+def _c_days(loop, params: ModelParams, init: list[float], population_n: float,
+            horizon: int, steps_per_day: int) -> np.ndarray:
+    """_python_days run by the C loop of _rk4.c.  The loop stops at a day
+    that fails the day check; _check_day then clamps that row, and the loop
+    resumes from it, or raises as the Python loop does."""
+    states = np.empty((horizon + 1, len(COMPARTMENTS)))
+    states[0] = init
+    address = states.ctypes.data
+    row_bytes = states.strides[0]
+    day = 0
+    while day < horizon:
+        failed = loop(address + day * row_bytes, horizon - day, steps_per_day,
+                      params.beta, population_n, params.t_inc, params.t_inf,
+                      params.t_recov, params.t_fatal, params.p_fatal)
+        if not failed:
+            break
+        day += failed
+        states[day] = _check_day(day, tuple(states[day].tolist()))
+    return states
 
-    Each column runs the floating-point operations of integrate in the same
-    order, so column b is bit-identical to
-    integrate(params[b], init[:, b], horizon, dt).states.
-    The day check of _check_day applies per column: a dip inside
-    (-NEGATIVE_CLAMP, 0) is clamped to 0.0, and NaN, overflow or a larger dip
-    marks the column diverged where integrate would raise, leaving the other
-    columns untouched.
+
+def _cache_dirs() -> list[Path]:
+    """Where a built loop is kept: next to this module, else in the user's
+    cache directory."""
+    return [Path(__file__).with_name("__pycache__"),
+            Path.home() / ".cache" / "seiard"]
+
+
+def _build(source: bytes, command: list[str], directories) -> Path:
+    """The shared library that command builds from source: the first of
+    directories that holds it or can be written gives it.  The file name
+    carries a sha256 of source and command, and a build is written to a
+    temporary file and renamed, so a concurrent build never sees a partial
+    library.  A directory it creates is private (0700).
+    """
+    key = hashlib.sha256(source + b"\0" + "\0".join(command).encode())
+    name = f"_rk4-{key.hexdigest()[:32]}.so"
+    error = OSError(f"no directory to build the C RK4 loop in: {directories}")
+    for directory in directories:
+        library = directory / name
+        if library.is_file():
+            return library
+        try:
+            directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+            handle, partial = tempfile.mkstemp(suffix=".so", dir=directory)
+        except OSError as unwritable:
+            error = unwritable
+            continue
+        os.close(handle)
+        try:
+            subprocess.run([*command, "-o", partial, "-x", "c", "-"],
+                           input=source, capture_output=True, check=True)
+            os.chmod(partial, 0o755)
+            os.replace(partial, library)
+        finally:
+            if os.path.exists(partial):
+                os.remove(partial)
+        return library
+    raise error
+
+
+def _bind(library: Path):
+    loop = ctypes.CDLL(str(library)).seiard_rk4_days
+    loop.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
+                     *[ctypes.c_double] * 7]
+    loop.restype = ctypes.c_long
+    return loop
+
+
+# The fixed solve both loops must agree on before the C one is used: every
+# compartment occupied and every rate distinct, at four steps a day.
+_PROBE = (ModelParams(beta=0.41, t_inc=3.7, t_inf=5.3, t_recov=11.9,
+                      t_fatal=8.3, p_fatal=0.07, e0=40.0, i0=30.0),
+          [99_800.0, 40.0, 30.0, 60.0, 20.0, 40.0, 10.0], 60, 4)
+
+
+@functools.cache
+def _c_day_loop():
+    """The C day loop as a ctypes function, or None to solve in Python.
+
+    It is built on the first solve in a process, never at import, with the
+    system C compiler `cc` and KERNEL_FLAGS, and cached next to this module
+    in __pycache__ or else in ~/.cache/seiard.  It is used only when it
+    solves _PROBE to the same bytes as the Python loop.  Without a compiler
+    the Python loop runs silently; when a compiler exists but the build or
+    the check fails, one RuntimeWarning says so.
+    """
+    compiler = shutil.which("cc")
+    if compiler is None:
+        return None
+    try:
+        library = _build(KERNEL_SOURCE.read_bytes(), [compiler, *KERNEL_FLAGS],
+                         _cache_dirs())
+        loop = _bind(library)
+    except (OSError, subprocess.CalledProcessError, AttributeError) as error:
+        detail = getattr(error, "stderr", b"").decode(errors="replace")
+        warnings.warn(f"seiard: could not build the C RK4 loop, solving in "
+                      f"Python instead: {error} {detail}", RuntimeWarning)
+        return None
+    params, init, horizon, steps_per_day = _PROBE
+    population_n = _population(init)
+    want = _python_days(params, init, population_n, horizon, steps_per_day)
+    got = _c_days(loop, params, init, population_n, horizon, steps_per_day)
+    if got.tobytes() != want.tobytes():
+        warnings.warn(f"seiard: the C RK4 loop in {library} does not reproduce "
+                      f"the Python loop bit for bit, solving in Python instead",
+                      RuntimeWarning)
+        return None
+    return loop
+
+
+def integrate(params: ModelParams, init: np.ndarray, horizon: int, dt: float = 0.1) -> Trajectory:
+    """Integrate the model with classic fixed-step RK4, sampling integer days.
+
+    The output is bit-stable: every floating-point operation runs in a fixed
+    order, so the same inputs give the same bytes on every call, whether the
+    C loop of _rk4.c or the Python loop runs them.
+    tests/test_dynamics.py pins both bit for bit against the closure-based
+    reference in tests/rk4_reference.py.
 
     Args:
-        params: sequence of B ModelParams.
-        init: (7, B) day-0 states, rows in COMPARTMENTS order.
-        horizon: last day to report, as for integrate.
-        dt: nominal step in days, as for integrate.
+        params: model parameters.
+        init: (7,) day-0 state in COMPARTMENTS order; the conserved
+            population size is its total.
+        horizon: last day to report (trajectory covers days 0..horizon).
+        dt: nominal step in days, 0 < dt <= 1; snapped to an integer number
+            of substeps per day so day boundaries are hit exactly.
 
     Returns:
-        (states, diverged): states of shape (horizon + 1, 7, B), and the
-        (B,) mask of diverged columns.  A diverged column holds zeros from
-        the day it diverged on.
+        Trajectory with shape (horizon + 1, 7) states.
+
+    Raises:
+        DivergenceError: NaN/overflow, or a compartment dropping below zero
+            by more than the clamping tolerance.
     """
     steps_per_day = _steps_per_day(horizon, dt)
-    init = np.asarray(init, dtype=float)
-    if init.shape != (len(COMPARTMENTS), len(params)):
-        raise ValueError(f"init must have shape (7, {len(params)}), got {init.shape}")
+    # Python floats: the Python loop is several times slower on numpy scalars
+    init = np.asarray(init, dtype=float).tolist()
     population_n = _population(init)
-
-    h = 1.0 / steps_per_day
-    beta, t_inc, t_inf, t_recov, t_fatal, pf = np.array(
-        [(p.beta, p.t_inc, p.t_inf, p.t_recov, p.t_fatal, p.p_fatal)
-         for p in params], dtype=float).reshape(-1, 6).T
-    beta_n = beta / population_n
-    rates_eo = np.array([1.0 / t_inc, 1.0 / t_inf])    # sigma, gamma
-    rates_rd = np.array([1.0 / t_recov, 1.0 / t_fatal])
-    split = np.array([1.0 - pf, pf])
-    half = 0.5 * h
-    sixth = h / 6.0
-    n = init.shape[1]
-
-    # Stage k of integrate has the flows fk (infection), gk (incubation), ok
-    # (onset), uk (recovery), wk (death) and the slopes dek, dik, dak, dbk of
-    # e, i, a_recov and a_fatal.  Here stage k fills one (7, B) block with the
-    # rows (fk, dek, dik, dak, dbk, uk, wk): s loses the first row, e..d gain
-    # the others.  Every row is computed as integrate computes that value; the
-    # blocks only let one numpy call serve several compartments, which is
-    # what makes a batch of a few dozen columns cheaper than as many solves.
-    x = init.copy()
-    x_in = np.empty((5, n))          # stage input: s, e, i, a_recov, a_fatal
-    step_k = np.empty((5, n))
-    go = np.empty((2, n))            # gk, ok
-    split_o = np.empty((2, n))       # pr * ok, pf * ok
-    total = np.empty((7, n))
-    k1, k2, k3, k4 = (np.empty((7, n)) for _ in range(4))
-    mul, add, sub = np.multiply, np.add, np.subtract
-    # views are taken once: slicing inside the loop would cost about as
-    # much as the arithmetic at these batch sizes
-    g, o = go
-    x_s, x_e_to_af, x_e_to_d = x[0], x[1:5], x[1:]
-    in_s, in_e_to_af = x_in[0], x_in[1:]
-    step_f, step_slopes = step_k[0], step_k[1:]
-    total_f, total_slopes = total[0], total[1:]
-
-    def rows(v):
-        # s, i, (e, i), (a_recov, a_fatal) of a state block
-        return v[0], v[2], v[1:3], v[3:5]
-
-    def block(k):
-        # f, de, di, (da, db), (u, w), (f..db) of a stage block
-        return k[0], k[1], k[2], k[3:5], k[5:7], k[:5]
-
-    def slopes(source, k):
-        s_, i_, ei, ab = source
-        f, de, di, dadb, uw, _ = k
-        mul(beta_n, i_, out=f)
-        mul(f, s_, out=f)               # f = beta_n * i * s
-        mul(rates_eo, ei, out=go)       # g = sigma * e, o = gamma * i
-        mul(rates_rd, ab, out=uw)       # u = a_recov * inv_tr, w = a_fatal * inv_tf
-        sub(f, g, out=de)
-        sub(g, o, out=di)
-        mul(split, o, out=split_o)
-        sub(split_o, uw, out=dadb)      # da = pr * o - u, db = pf * o - w
-
-    def stage_input(step, k):
-        # s - step * f and (e, i, a_recov, a_fatal) + step * slope
-        f_to_db = k[5]
-        mul(step, f_to_db, out=step_k)
-        sub(x_s, step_f, out=in_s)
-        add(x_e_to_af, step_slopes, out=in_e_to_af)
-
-    x_rows, x_in_rows = rows(x), rows(x_in)
-    b1, b2, b3, b4 = block(k1), block(k2), block(k3), block(k4)
-    states = np.empty((horizon + 1, 7, n))
-    states[0] = init
-    diverged = np.zeros(n, dtype=bool)
-    inf = math.inf
-    substeps = range(steps_per_day)
-
-    # A column may overflow inside a day before the day check zeroes it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for day in range(1, horizon + 1):
-            for _ in substeps:
-                slopes(x_rows, b1)
-                stage_input(half, b1)
-                slopes(x_in_rows, b2)
-                stage_input(half, b2)
-                slopes(x_in_rows, b3)
-                stage_input(h, b3)
-                slopes(x_in_rows, b4)
-                # x + sixth * (k1 + 2 (k2 + k3) + k4), s by subtraction
-                add(k2, k3, out=total)
-                mul(2.0, total, out=total)
-                add(k1, total, out=total)
-                add(total, k4, out=total)
-                mul(sixth, total, out=total)
-                sub(x_s, total_f, out=x_s)
-                add(x_e_to_d, total_slopes, out=x_e_to_d)
-            row = states[day]
-            row[:] = x
-            ok = (row >= 0.0) & (row < inf)
-            if not ok.all():
-                # _check_day per column: clamp noise dips, zero what diverged
-                clamp = (row < 0.0) & (row > -NEGATIVE_CLAMP)
-                bad = ~(ok | clamp).all(axis=0)
-                row[clamp] = 0.0
-                row[:, bad] = 0.0
-                diverged |= bad
-                x[:] = row
-    return states, diverged
+    loop = _c_day_loop()
+    if loop is None:
+        states = _python_days(params, init, population_n, horizon, steps_per_day)
+    else:
+        states = _c_days(loop, params, init, population_n, horizon, steps_per_day)
+    return Trajectory(times=np.arange(horizon + 1, dtype=float), states=states)
 
 
-def _observed_rows(states: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the OBSERVED_SERIES rows of (T, 7) or (T, 7, B) states into out,
-    a (4, T) or (4, T, B) array or view, and return it.
+def observe(trajectory: Trajectory) -> ObservedSeries:
+    """Map a trajectory onto the reportable series.
 
     active = a_recov + a_fatal, recovered = r, deceased = d,
     total = active + recovered + deceased.  E and I stay hidden.
     """
-    active, recovered, deceased, total = out
+    states = trajectory.states
+    values = np.empty((len(OBSERVED_SERIES), len(states)))
+    active, recovered, deceased, total = values
     np.add(states[:, 3], states[:, 4], out=active)
     recovered[...] = states[:, 5]
     deceased[...] = states[:, 6]
     np.add(active, recovered, out=total)
     np.add(total, deceased, out=total)
-    return out
-
-
-def observe(trajectory: Trajectory) -> ObservedSeries:
-    """Map a trajectory onto the reportable series."""
-    values = np.empty((len(OBSERVED_SERIES), len(trajectory.states)))
-    return ObservedSeries(times=trajectory.times.copy(),
-                          values=_observed_rows(trajectory.states, values))
+    return ObservedSeries(times=trajectory.times.copy(), values=values)
 
 
 def build_initial_state(params: ModelParams, population_n: float,
@@ -490,74 +484,20 @@ def simulate_observed(params: ModelParams, scenario: DatasetConfig,
 
 def simulate_observed_batch(params, scenario: DatasetConfig,
                             horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """simulate_observed for a sequence of B parameter vectors at once.
+    """simulate_observed for a sequence of B parameter vectors.
 
     Returns (observed, diverged): observed has shape (B, 4, horizon + 1),
-    one row per OBSERVED_SERIES, and observed[b] is bit-identical to the
-    series simulate_observed gives for params[b]; diverged marks the
-    candidates for which simulate_observed raises DivergenceError, and their
-    series are zeros.  From BATCH_MIN vectors on they are solved together by
-    integrate_batch; fewer are solved one by one, which is faster.  Raises
-    what build_initial_state raises.
+    one row per OBSERVED_SERIES, and observed[b] is the series
+    simulate_observed gives for params[b]; diverged marks the candidates for
+    which simulate_observed raises DivergenceError, and their series are
+    zeros.  Raises what build_initial_state raises.
     """
     params = list(params)
-    if len(params) < BATCH_MIN:
-        observed = np.zeros((len(params), len(OBSERVED_SERIES), horizon + 1))
-        diverged = np.zeros(len(params), dtype=bool)
-        for b, p in enumerate(params):
-            try:
-                observed[b] = simulate_observed(p, scenario, horizon).values
-            except DivergenceError:
-                diverged[b] = True
-        return observed, diverged
-    init = np.array([build_initial_state(p, scenario.population_n,
-                                         scenario.init_observed,
-                                         scenario.a0_fatal_fraction)
-                     for p in params], dtype=float).T
-    states, diverged = integrate_batch(params, init, horizon, scenario.dt)
-    observed = np.empty((len(params), len(OBSERVED_SERIES), horizon + 1))
-    # filled through its (4, T, B) view, the layout of the states
-    _observed_rows(states, observed.transpose(1, 2, 0))
-    del states
-    observed[diverged] = 0.0
+    observed = np.zeros((len(params), len(OBSERVED_SERIES), horizon + 1))
+    diverged = np.zeros(len(params), dtype=bool)
+    for b, p in enumerate(params):
+        try:
+            observed[b] = simulate_observed(p, scenario, horizon).values
+        except DivergenceError:
+            diverged[b] = True
     return observed, diverged
-
-
-@dataclass(frozen=True)
-class LtiSystem:
-    """Linear time-invariant approximation x' = B x, y = C x, valid early in
-    an outbreak while s/population_n stays close to 1."""
-
-    b_matrix: np.ndarray
-    c_matrix: np.ndarray
-
-
-def lti_matrices(params: ModelParams) -> LtiSystem:
-    """Build the LTI pair (B, C) in COMPARTMENTS order.
-
-    B collects the linear flow rates with s/N frozen at 1; C selects the
-    reportable series.  Every column of B sums to zero: each term leaving one
-    compartment enters another, including the I-compartment outflow -1/t_inf
-    on the diagonal (a positive diagonal there would create mass from nothing).
-    """
-    sigma = params.sigma
-    gamma = params.gamma
-    b = np.zeros((7, 7))
-    b[0, 2] = -params.beta
-    b[1, 1] = -sigma
-    b[1, 2] = params.beta
-    b[2, 1] = sigma
-    b[2, 2] = -gamma
-    b[3, 2] = (1.0 - params.p_fatal) * gamma
-    b[3, 3] = -1.0 / params.t_recov
-    b[4, 2] = params.p_fatal * gamma
-    b[4, 4] = -1.0 / params.t_fatal
-    b[5, 3] = 1.0 / params.t_recov
-    b[6, 4] = 1.0 / params.t_fatal
-
-    c = np.zeros((3, 7))
-    c[0, 3] = 1.0
-    c[0, 4] = 1.0
-    c[1, 5] = 1.0
-    c[2, 6] = 1.0
-    return LtiSystem(b_matrix=b, c_matrix=c)

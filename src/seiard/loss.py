@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PARAM_NAMES, ModelParams, simulate_observed_batch
+from .dynamics import ModelParams, simulate_observed_batch
 from .synthdata import Dataset
 
 # Denominator guard: counts below one person are treated as one person so a
@@ -17,7 +17,7 @@ EPSILON_PERSONS = 1.0
 
 # At most this many vectors, and this many solved day-columns (vectors times
 # horizon + 1), per simulate_observed_batch call, which bounds its
-# (horizon + 1, 7, columns) array.
+# (vectors, 4, horizon + 1) array.
 BATCH_COLUMNS = 256
 BATCH_DAY_COLUMNS = 20_000
 
@@ -117,35 +117,23 @@ class FitObjective:
     window: a callable mapping a list of candidate {name: value} dicts to one
     loss per candidate.
 
-    With the standard loss it remembers every loss it computes, keyed by the
-    candidate's float64 bytes (so 0.0 and -0.0 stay apart), and sends the
-    candidates it has not seen to one fit_loss_batch.  A loss does not depend
-    on the batch it was solved in, so a remembered loss is the one a new
-    solve gives, and filling the memory ahead of a run changes no result.
-    A custom loss_fn(dataset, params, window) -> float is applied to each
-    candidate in turn, and nothing is remembered.  The class is module level
-    so that it pickles, memory included, into worker processes.
+    It gives fit_loss_batch over the candidates, or applies a custom
+    loss_fn(dataset, params, window) -> float to each candidate in turn.
+    The class is module level so that it pickles into worker processes.
     """
 
     def __init__(self, dataset: Dataset, window: FitWindow, loss_fn=None):
         self.dataset = dataset
         self.window = window
         self.loss_fn = loss_fn
-        self.memory: dict[bytes, float] = {}
 
     def __call__(self, candidates):
         params = [ModelParams.from_dict(c) for c in candidates]
-        if self.loss_fn is not None:
-            return [self.loss_fn(self.dataset, p, self.window) for p in params]
-        keys = [np.array([getattr(p, name) for name in PARAM_NAMES]).tobytes()
-                for p in params]
-        unseen = {key: p for key, p in zip(keys, params) if key not in self.memory}
-        if unseen:
-            losses = fit_loss_batch(self.dataset, unseen.values(), self.window)
-            self.memory.update(zip(unseen, losses.tolist()))
-        return np.array([self.memory[key] for key in keys])
+        if self.loss_fn is None:
+            return fit_loss_batch(self.dataset, params, self.window)
+        return [self.loss_fn(self.dataset, p, self.window) for p in params]
 
 
 def fit_objective(dataset: Dataset, window: FitWindow, loss_fn=None) -> FitObjective:
-    """A FitObjective for the dataset and window, with an empty memory."""
+    """The FitObjective for the dataset and window."""
     return FitObjective(dataset, window, loss_fn)

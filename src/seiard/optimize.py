@@ -332,33 +332,9 @@ def _nelder_mead(func, x0, lower, upper):
     return sim[0], fsim[0]
 
 
-def _seeded_rng(seed: int):
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
-
-def _exploration(rng, space: SearchSpace, budget: int,
-                 n_evaluated: int) -> list[np.ndarray]:
-    """The free vectors of one random+nm exploration batch: uniform draws,
-    10 per free parameter plus 10, or as many as the budget has left."""
-    size = min(budget - n_evaluated, 10 * len(space.free_names) + 10)
-    return [_uniform_draw(rng, space) for _ in range(size)]
-
-
-def first_exploration(space: SearchSpace, budget: int, seed: int = 0,
-                      n_init: int = 0) -> list[dict[str, float]]:
-    """The candidates minimize(objective, space, budget, seed, "random+nm",
-    init_points) passes to the objective in its first exploration call, for
-    n_init init points; empty when the init points take the whole budget.
-
-    The draws depend on nothing else, not on the init points' values nor on
-    any loss, so a caller can score them before the run.
-    """
-    return [space.assemble(free_values) for free_values
-            in _exploration(_seeded_rng(seed), space, budget, n_init)]
-
-
 def _run_random_nm(recorder: _Recorder, rng, init_points) -> None:
     space = recorder.space
+    batch = 10 * len(space.free_names) + 10
     for point in init_points:
         if recorder.exhausted:
             return
@@ -385,8 +361,8 @@ def _run_random_nm(recorder: _Recorder, rng, init_points) -> None:
 
     def explore() -> None:
         # the draws are independent of the losses, so the batch is drawn first
-        recorder.evaluate_batch(_exploration(rng, space, recorder.budget,
-                                             len(recorder.evaluations)))
+        size = min(recorder.budget - len(recorder.evaluations), batch)
+        recorder.evaluate_batch([_uniform_draw(rng, space) for _ in range(size)])
 
     explore()
     while not recorder.exhausted:
@@ -428,7 +404,7 @@ def minimize(objective, space: SearchSpace, budget: int, seed: int = 0,
     if not space.free_names:
         raise ValueError("search space has no free parameters")
     recorder = _Recorder(objective, space, budget)
-    rng = _seeded_rng(seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     init_points = [np.asarray(p, dtype=float) for p in (init_points or [])]
     if method == "tpe":
         _run_tpe(recorder, rng, init_points)

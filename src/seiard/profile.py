@@ -15,7 +15,7 @@ from scipy.special import gammaincinv
 from . import defaults
 from .artifacts import write_csv, write_json
 from .loss import FitWindow, fit_loss_batch, fit_objective
-from .optimize import NoFeasiblePointError, SearchSpace, first_exploration, minimize
+from .optimize import NoFeasiblePointError, SearchSpace, minimize
 from .posterior import loss_quantile
 from .synthdata import Dataset
 
@@ -146,24 +146,6 @@ def _sweep_star(job):
     return _sweep(*job)
 
 
-def _first_explorations(param_name: str, grid: np.ndarray, space: SearchSpace,
-                        inner_budget: int, seed: int, warm_start: bool,
-                        fit_center: bool) -> list[dict[str, float]]:
-    """The first exploration batch of every random+nm fit profile_likelihood
-    runs: the global fit's when fit_center, then each grid point's, with one
-    init point under a warm start and none under a cold one.  A warm-started
-    point whose sweep has no start yet runs without one, so its batch may
-    hold one more candidate, which its fit solves."""
-    candidates = []
-    if fit_center:
-        candidates += first_exploration(space, inner_budget, _point_seed(seed, grid.size))
-    for j, value in enumerate(grid):
-        candidates += first_exploration(space.pin(param_name, float(value)),
-                                        inner_budget, _point_seed(seed, j),
-                                        n_init=int(warm_start))
-    return candidates
-
-
 def profile_likelihood(dataset: Dataset, param_name: str, grid=None,
                        space: SearchSpace | None = None,
                        window: FitWindow = None,
@@ -178,10 +160,6 @@ def profile_likelihood(dataset: Dataset, param_name: str, grid=None,
     outward from the global fit, which suppresses spurious bumps caused by
     inner optimizer failures; without it every grid point is its own sweep.
     Each grid point has its own seed, so the curve is the same for any n_jobs.
-    With the standard loss and random+nm, the first exploration batch of
-    every inner fit is known from the seeds alone, so all of them are solved
-    in one batch up front, before the sweeps go to processes, and the fits
-    read those losses back.
 
     Args:
         dataset: observations to fit against.
@@ -198,9 +176,8 @@ def profile_likelihood(dataset: Dataset, param_name: str, grid=None,
             warm-starting, a global fit is run first.
         n_jobs: above 1, the sweeps run in up to this many processes.
         loss_fn: loss as (dataset, params, window) -> float, applied to
-            one candidate at a time, with no batch solved up front;
-            defaults to the standard fit loss.  Must be picklable when
-            n_jobs > 1.
+            one candidate at a time; defaults to the standard fit loss.
+            Must be picklable when n_jobs > 1.
 
     Returns:
         PlCurve over the grid.
@@ -221,10 +198,6 @@ def profile_likelihood(dataset: Dataset, param_name: str, grid=None,
     n = grid.size
 
     objective = fit_objective(dataset, window, loss_fn)
-    if method == "random+nm" and loss_fn is None:
-        objective(_first_explorations(param_name, grid, space, inner_budget,
-                                      seed, warm_start,
-                                      warm_start and center is None))
     if warm_start:
         if center is None:
             # the global fit gets the seed slot one past the grid indices

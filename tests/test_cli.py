@@ -405,18 +405,26 @@ class TestEntryPoint:
 
     def test_import_leaves_scipy_stats_optimize_linalg_out(self):
         # scipy.stats and scipy.optimize (which loads scipy.linalg) each cost
-        # a quarter to half a second of every start-up
+        # a quarter to half a second of every start-up; the C day loop is
+        # built and loaded on the first solve, not at import
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")]))}
         heavy = ("scipy.stats", "scipy.optimize", "scipy.linalg")
-        result = subprocess.run(
-            [sys.executable, "-c",
-             f"import sys, seiard.cli; print([m for m in {heavy!r} "
-             "if m in sys.modules])"],
-            capture_output=True, text=True, env=env, check=True)
-        assert result.stdout.strip() == "[]"
+        probe = (
+            "import ctypes, subprocess, sys\n"
+            "calls = []\n"
+            "def refuse(*args, **kwargs):\n"
+            "    calls.append(args)\n"
+            "    raise OSError('refused')\n"
+            "subprocess.Popen = ctypes.CDLL = refuse\n"
+            "import seiard.cli\n"
+            f"print([m for m in {heavy!r} if m in sys.modules], calls,\n"
+            "      sys.modules['seiard.dynamics']._c_day_loop.cache_info().currsize)\n")
+        result = subprocess.run([sys.executable, "-c", probe],
+                                capture_output=True, text=True, env=env, check=True)
+        assert result.stdout.strip() == "[] [] 0"
 
     def test_bad_threads_usage_error(self, tmp_path):
         code = run_cli("report", "--out", str(tmp_path / "r"), "--threads", "0")

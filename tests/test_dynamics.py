@@ -1,11 +1,12 @@
 import csv
-import math
+import shutil
+import subprocess
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 import seiard.dynamics as dynamics_module
 from rk4_reference import deriv, integrate_reference
@@ -18,8 +19,6 @@ from seiard.dynamics import (
     _check_day,
     build_initial_state,
     integrate,
-    integrate_batch,
-    lti_matrices,
     observe,
     simulate_observed,
     simulate_observed_batch,
@@ -92,8 +91,8 @@ class TestModelParams:
 
 
 class TestDerivative:
-    """The right-hand side of the reference RK4, which integrate and
-    integrate_batch reproduce bit for bit, against hand-computed rates."""
+    """The right-hand side of the reference RK4, which integrate reproduces
+    bit for bit, against hand-computed rates."""
 
     def test_empty_transit_compartments_give_zero_rates(self):
         # no infectious pressure and nothing in transit -> nothing moves
@@ -123,7 +122,24 @@ class TestDerivative:
         assert abs(arr.sum()) <= 1e-8 * scale
 
 
+@pytest.fixture(scope="class")
+def day_loop(request):
+    """Solve with the day loop the test class names in DAY_LOOP: "c", the
+    compiled loop (skipped only where there is no C compiler), or "python"."""
+    with pytest.MonkeyPatch.context() as patch:
+        if request.cls.DAY_LOOP == "python":
+            patch.setattr(dynamics_module, "_c_day_loop", lambda: None)
+        elif shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        else:
+            assert dynamics_module._c_day_loop() is not None
+        yield
+
+
+@pytest.mark.usefixtures("day_loop")
 class TestIntegrate:
+    DAY_LOOP = "c"
+
     def test_day_zero_row_is_init(self):
         traj = integrate(TRUE, default_init(), 10)
         assert traj.states[0].tolist() == default_init().tolist()
@@ -207,9 +223,6 @@ class TestIntegrate:
         empty = np.zeros(7)
         with pytest.raises(ParameterDomainError, match="initial state has no population"):
             integrate(TRUE, empty, 10)
-        batch = np.column_stack([default_init(), empty])
-        with pytest.raises(ParameterDomainError, match="initial state has no population"):
-            integrate_batch([TRUE, TRUE], batch, 10)
 
     def test_divergence_guard_clamps_noise(self):
         values = (1.0, -1e-12, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -271,12 +284,18 @@ RAISE_CASES = [
 ]
 
 
+@pytest.mark.usefixtures("day_loop")
 class TestKernelBitIdentity:
     """integrate reproduces the closure-based reference RK4 byte for byte."""
 
+    DAY_LOOP = "c"
+
+    # TestKernelBitIdentityPythonLoop runs this on the other day loop, which
+    # Hypothesis sees as a second executor of the same test
     @given(params=search_params, dt=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
            horizon=st.integers(1, 120))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     def test_matches_reference(self, params, dt, horizon):
         init = default_init(params)
         got = _outcome(lambda: integrate(params, init, horizon, dt).states)
@@ -316,65 +335,192 @@ class TestKernelBitIdentity:
         assert got == want == ("diverged", message)
 
 
-def _column_init(params, population):
-    return build_initial_state(params, population, defaults.INIT_OBSERVED)
+class TestIntegratePythonLoop(TestIntegrate):
+    """TestIntegrate on the Python day loop, the one that runs without a C
+    compiler."""
+
+    DAY_LOOP = "python"
 
 
-def _assert_columns_match(cases, horizon, dt):
-    """Every column of one integrate_batch call against integrate: the same
-    bytes, or diverged where integrate raises, with the same bytes on every
-    day before the one the message names."""
-    params = [p for p, _ in cases]
-    init = np.column_stack([_column_init(p, n) for p, n in cases])
-    states, diverged = integrate_batch(params, init, horizon, dt)
-    assert states.shape == (horizon + 1, 7, len(cases))
-    for b, (p, n) in enumerate(cases):
-        column = np.ascontiguousarray(states[:, :, b])
-        outcome = _outcome(lambda: integrate(p, init[:, b], horizon, dt).states)
+class TestKernelBitIdentityPythonLoop(TestKernelBitIdentity):
+    """TestKernelBitIdentity on the Python day loop."""
+
+    DAY_LOOP = "python"
+
+
+def _python_outcome(solve):
+    """_outcome of a solve run on the Python day loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics_module, "_c_day_loop", lambda: None)
+        return _outcome(solve)
+
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    """An empty directory that a fresh _c_day_loop builds into and loads
+    from; the process's own loop is loaded again after the test."""
+    directory = tmp_path / "cache"
+    monkeypatch.setattr(dynamics_module, "_cache_dirs", lambda: [directory])
+    dynamics_module._c_day_loop.cache_clear()
+    yield directory
+    dynamics_module._c_day_loop.cache_clear()
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+class TestCompiledLoop:
+    """The C day loop of _rk4.c: built once, cached, used only when it
+    gives the Python loop's bytes."""
+
+    def test_in_use_where_cc_exists(self):
+        # a silent fallback would only make every solve slower
+        if shutil.which("cc") is not None:
+            assert dynamics_module._c_day_loop() is not None
+
+    @needs_cc
+    @given(params=search_params, dt=st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0]),
+           horizon=st.integers(1, 400), population=st.floats(100.0, 1e8),
+           observed=st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 30.0),
+                              st.floats(0.0, 10.0)),
+           fraction=st.none() | st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_same_bytes_as_python_loop(self, params, dt, horizon, population,
+                                       observed, fraction):
+        init = build_initial_state(params, population, observed, fraction)
+        got = _outcome(lambda: integrate(params, init, horizon, dt).states)
+        assert got == _python_outcome(
+            lambda: integrate(params, init, horizon, dt).states)
+
+    @needs_cc
+    @pytest.mark.parametrize("value", [-1e-12, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("k", range(7))
+    def test_day_check_of_every_compartment(self, k, value):
+        # compartment k starts outside the day check and nothing flows, so
+        # it is still there at the end of day 1; integrate rejects such a
+        # start, so the two loops are called directly
+        init = [1000.0, 0.0, 0.0, 0.0, 0.0, 5.0, 1.0]
+        init[k] = value
+        loop = dynamics_module._c_day_loop()
+        got = _outcome(lambda: dynamics_module._c_days(loop, TRUE, init, 1006.0, 3, 4))
+        want = _outcome(lambda: dynamics_module._python_days(TRUE, init, 1006.0, 3, 4))
+        assert got == want
+        assert (want[0] == "diverged") == (value != -1e-12)
+
+    @needs_cc
+    def test_faulty_source_is_refused(self, cache_dir, tmp_path, monkeypatch):
+        source = dynamics_module.KERNEL_SOURCE.read_text()
+        assert source.count("h / 6.0;") == 1
+        faulty = tmp_path / "_rk4.c"
+        faulty.write_text(source.replace("h / 6.0;", "h / 6.0001;"))
+        monkeypatch.setattr(dynamics_module, "KERNEL_SOURCE", faulty)
+        with pytest.warns(RuntimeWarning, match="bit for bit"):
+            states = integrate(TRUE, default_init(), 28).states
+        assert len(list(cache_dir.glob("_rk4-*.so"))) == 1
+        assert dynamics_module._c_day_loop() is None
+        assert states.tobytes() == integrate_reference(
+            TRUE, default_init(), 28, 0.1).tobytes()
+
+    @needs_cc
+    def test_second_load_runs_no_compiler(self, cache_dir, monkeypatch):
+        assert dynamics_module._c_day_loop() is not None
+        assert len(list(cache_dir.glob("_rk4-*.so"))) == 1
+        dynamics_module._c_day_loop.cache_clear()
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError(f"ran {args}")
+
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        assert dynamics_module._c_day_loop() is not None
+
+    @needs_cc
+    def test_build_failure_warns_once(self, cache_dir, tmp_path, monkeypatch):
+        broken = tmp_path / "_rk4.c"
+        broken.write_text("this is not C\n")
+        monkeypatch.setattr(dynamics_module, "KERNEL_SOURCE", broken)
+        with pytest.warns(RuntimeWarning, match="could not build"):
+            first = integrate(TRUE, default_init(), 20).states
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            second = integrate(TRUE, default_init(), 20).states
+        assert first.tobytes() == second.tobytes()
+        assert not list(cache_dir.iterdir())
+
+    def test_no_compiler_falls_back_silently(self, cache_dir, monkeypatch):
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = integrate(TRUE, default_init(), 20).states
+        assert dynamics_module._c_day_loop() is None
+        assert states.tobytes() == integrate_reference(
+            TRUE, default_init(), 20, 0.1).tobytes()
+        assert not cache_dir.exists()
+
+    @needs_cc
+    def test_unwritable_first_directory_falls_to_the_next(self, tmp_path):
+        package = tmp_path / "package"
+        package.write_text("")          # a file, so nothing can be made below it
+        user = tmp_path / "home" / ".cache" / "seiard"
+        command = [shutil.which("cc"), *dynamics_module.KERNEL_FLAGS]
+        source = dynamics_module.KERNEL_SOURCE.read_bytes()
+        library = dynamics_module._build(source, command,
+                                         [package / "__pycache__", user])
+        assert library.parent == user
+        assert user.stat().st_mode & 0o777 == 0o700
+        assert [p.name for p in user.iterdir()] == [library.name]
+        # the same source and command find the same file
+        assert dynamics_module._build(source, command, [user]) == library
+        assert dynamics_module._build(source + b"\n", command, [user]) != library
+
+    def test_user_cache_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        package_dir, user_dir = dynamics_module._cache_dirs()
+        assert package_dir == dynamics_module.KERNEL_SOURCE.with_name("__pycache__")
+        assert user_dir == tmp_path / ".cache" / "seiard"
+
+
+def _assert_rows_match(params, scenario, horizon):
+    """simulate_observed_batch against simulate_observed, vector by vector:
+    the same bytes, or diverged and zeros where simulate_observed raises."""
+    observed, diverged = simulate_observed_batch(params, scenario, horizon)
+    assert observed.shape == (len(params), 4, horizon + 1)
+    for b, p in enumerate(params):
+        outcome = _outcome(lambda: simulate_observed(p, scenario, horizon).values)
         if outcome[0] == "states":
             assert not diverged[b]
-            assert column.tobytes() == outcome[1]
+            assert observed[b].tobytes() == outcome[1]
         else:
             assert diverged[b]
-            day = int(outcome[1].rsplit(" ", 1)[1])
-            if day > 1:
-                before = integrate(p, init[:, b], day - 1, dt)
-                assert column[:day].tobytes() == before.states.tobytes()
-            assert not column[day:].any()
-    return states, diverged
+            assert not observed[b].any()
+    return observed, diverged
 
 
 class TestBatchKernel:
-    """integrate_batch reproduces integrate column by column, byte for byte."""
+    """simulate_observed_batch, which fit_loss_batch solves through, gives
+    simulate_observed's series for each vector."""
 
     @given(params=st.lists(search_params, min_size=1, max_size=5),
            dt=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
            horizon=st.integers(1, 120))
     @settings(max_examples=60, deadline=None)
     def test_columns_match_integrate(self, params, dt, horizon):
-        _assert_columns_match([(p, N) for p in params], horizon, dt)
+        _assert_rows_match(params, default_config(dt=dt), horizon)
 
     @pytest.mark.parametrize("dt", [0.5, 1.0])
     def test_mixed_batch_with_clamps_and_divergences(self, dt):
         # each clamp or raise case fires at its own dt; at the other dt it is
-        # one more column that must still match
-        ordinary = [(TRUE, N), (TRUE.replace(beta=0.6, i0=2.0), N),
-                    (TRUE.replace(beta=0.0), 1000.0)]
-        clamps = [(p, n) for p, n, *_ in CLAMP_CASES]
-        raises = [(p, n) for p, n, *_ in RAISE_CASES]
-        mixed = [ordinary[0], *clamps, ordinary[1], *raises, ordinary[2]]
-        states, diverged = _assert_columns_match(mixed, 40, dt)
-        assert not diverged[[0, 4, 7]].any()
-        for b, (_, _, case_dt, clamp_day, _, message) in zip((1, 2, 3), CLAMP_CASES):
+        # one more vector that must still match
+        for case in [*CLAMP_CASES, *RAISE_CASES]:
+            params, population, case_dt = case[:3]
+            message = case[-1]
+            scenario = default_config(population_n=population, dt=dt)
+            mixed = [TRUE, params, TRUE.replace(beta=0.0)]
+            _, diverged = _assert_rows_match(mixed, scenario, 40)
+            assert not diverged[[0, 2]].any()
             if case_dt == dt:
-                assert diverged[b] == (message is not None)
-                assert states[clamp_day, :, b].min() == 0.0
-        for b, (_, _, case_dt, _) in zip((5, 6), RAISE_CASES):
-            if case_dt == dt:
-                assert diverged[b]
+                assert diverged[1] == (message is not None)
 
-    def test_simulate_observed_batch_matches_simulate_observed(self, monkeypatch):
-        monkeypatch.setattr(dynamics_module, "BATCH_MIN", 1)
+    def test_simulate_observed_batch_matches_simulate_observed(self):
         params = [TRUE, TRUE.replace(beta=0.4, p_fatal=0.1), TRUE.replace(beta=1e300)]
         scenario = default_config(population_n=N, dt=0.25)
         observed, diverged = simulate_observed_batch(params, scenario, 30)
@@ -387,83 +533,11 @@ class TestBatchKernel:
                              series.series("deceased"), series.series("total")])
             assert observed[b].tobytes() == want.tobytes()
 
-    def test_small_batches_take_the_scalar_path(self, monkeypatch):
-        batched = []
-
-        def spy(*args):
-            batched.append(len(args[0]))
-            return integrate_batch(*args)
-
-        monkeypatch.setattr(dynamics_module, "integrate_batch", spy)
-        scenario = default_config()
-        for size in (0, dynamics_module.BATCH_MIN - 1, dynamics_module.BATCH_MIN):
-            observed, diverged = simulate_observed_batch([TRUE] * size, scenario, 28)
-            assert observed.shape == (size, 4, 29)
-            assert diverged.shape == (size,)
-        assert batched == [dynamics_module.BATCH_MIN]
-
-    @pytest.mark.parametrize("dt", [0.1, 0.5])
-    def test_crossover_changes_no_bytes(self, dt, monkeypatch):
-        rng = np.random.default_rng(3)
-        params = [ModelParams(**{name: float(rng.uniform(lo, hi))
-                                 for name, (lo, hi) in defaults.SEARCH_BOUNDS.items()})
-                  for _ in range(12)]
-        params[4] = TRUE.replace(beta=1e300)
-        scenario = default_config(a0_fatal_fraction=0.5, dt=dt, population_n=2e6)
-        outcomes = []
-        for batch_min in (1, 10**9):
-            monkeypatch.setattr(dynamics_module, "BATCH_MIN", batch_min)
-            observed, diverged = simulate_observed_batch(params, scenario, 40)
-            outcomes.append((observed.tobytes(), diverged.tolist()))
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][1] == [b == 4 for b in range(12)]
-
     def test_rejects_bad_input(self):
-        init = default_init()[:, None]
         with pytest.raises(ValueError):
-            integrate_batch([TRUE, TRUE], init, 10)
-        with pytest.raises(ValueError):
-            integrate_batch([TRUE], init, 0)
+            simulate_observed_batch([TRUE], default_config(), 0)
         with pytest.raises(ParameterDomainError):
-            integrate_batch([TRUE], -init, 10)
-
-
-class TestLti:
-    def test_selection_matrix(self):
-        sys = lti_matrices(TRUE)
-        c = sys.c_matrix
-        assert c.shape == (3, 7)
-        assert c.sum() == 4.0
-        assert ((c == 0.0) | (c == 1.0)).all()
-        # rows pick active = a_recov + a_fatal, recovered, deceased
-        assert c[0].tolist() == [0, 0, 0, 1, 1, 0, 0]
-        assert c[1].tolist() == [0, 0, 0, 0, 0, 1, 0]
-        assert c[2].tolist() == [0, 0, 0, 0, 0, 0, 1]
-
-    def test_flow_matrix_scenario_entries(self):
-        b = lti_matrices(TRUE).b_matrix
-        assert b.shape == (7, 7)
-        assert b[0, 2] == -0.25
-        assert b[2, 2] == -1.0 / 6.60  # infectious outflow must drain, not grow
-
-    @given(params=params_strategy)
-    @settings(max_examples=100)
-    def test_flow_matrix_columns_conserve_mass(self, params):
-        b = lti_matrices(params).b_matrix
-        scale = max(1.0, float(np.abs(b).max()))
-        assert np.abs(b.sum(axis=0)).max() <= 1e-12 * scale
-
-    def test_linear_approximation_matches_early_outbreak(self):
-        # while s/N stays within 0.1% of 1 the full model is effectively LTI
-        x0 = np.array([N - 2.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-        traj = integrate(TRUE, x0, 130)
-        sys = lti_matrices(TRUE)
-        for t in (30, 80, 130):
-            assert traj.states[t][0] / N >= 0.999
-            linear = expm(sys.b_matrix * float(t)) @ x0
-            occupied = traj.states[t] > 1e-3
-            rel = np.abs(linear - traj.states[t])[occupied] / traj.states[t][occupied]
-            assert rel.max() <= 1e-3
+            simulate_observed_batch([TRUE], default_config(population_n=5.0), 10)
 
 
 class TestObserve:

@@ -157,8 +157,8 @@ class TestFitLossBatch:
     @pytest.mark.parametrize("window", [FitWindow(0, 1), FitWindow(0, 28),
                                         FitWindow(3, 11), FitWindow(10, 120)])
     def test_equals_scalar_and_reference(self, noisy, window, monkeypatch):
-        # three chunks of dynamics.BATCH_MIN (20) vectors, with diverging
-        # candidates among the finite ones
+        # three chunks of 20 vectors, with diverging candidates among the
+        # finite ones
         monkeypatch.setattr(loss_module, "BATCH_COLUMNS", 24)
         params = _random_params(np.random.default_rng(window.t_end), 60)
         params[5] = params[40] = TRUE.replace(beta=1e300)
@@ -227,39 +227,8 @@ class TestFitObjective:
         assert seen == [(dataset, TRUE, FitWindow(0, 5)),
                         (dataset, other, FitWindow(0, 5))]
 
-    def test_remembers_what_it_solved(self, dataset, monkeypatch):
-        solved = []
-        original = loss_module.simulate_observed_batch
-
-        def spy(params, scenario, horizon):
-            params = list(params)
-            solved.extend(params)
-            return original(params, scenario, horizon)
-
-        monkeypatch.setattr(loss_module, "simulate_observed_batch", spy)
-        window = FitWindow(0, 28)
-        objective = fit_objective(dataset, window)
-        params = _random_params(np.random.default_rng(4), 30)
-        candidates = [p.as_dict() for p in params]
-        first = objective(candidates[:20])
-        assert solved == params[:20]
-        # seen candidates come from memory, a repeat within a call is solved once
-        again = objective(candidates[10:] + candidates[25:])
-        assert solved == params
-        want = fit_loss_batch(dataset, params, window)
-        assert first.tobytes() == want[:20].tobytes()
-        assert again.tobytes() == np.concatenate([want[10:], want[25:]]).tobytes()
-
-    def test_memory_keys_are_exact_bits(self, dataset):
+    def test_pickles(self, dataset):
+        # profile sends it to its sweep processes
         objective = fit_objective(dataset, FitWindow(0, 28))
-        objective([TRUE.replace(e0=0.0).as_dict(), TRUE.replace(e0=-0.0).as_dict(),
-                   TRUE.replace(beta=np.nextafter(TRUE.beta, 1.0)).as_dict()])
-        objective([TRUE.replace(e0=0.0).as_dict()])
-        assert len(objective.memory) == 3
-
-    def test_pickles_with_its_memory(self, dataset):
-        objective = fit_objective(dataset, FitWindow(0, 28))
-        objective([TRUE.as_dict()])
         copy = pickle.loads(pickle.dumps(objective))
-        assert copy.memory == objective.memory
         assert copy([TRUE.as_dict()]).tolist() == objective([TRUE.as_dict()]).tolist()

@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
 from scipy.special import ndtr, ndtri
 
@@ -19,7 +17,6 @@ from seiard.optimize import (
     NoFeasiblePointError,
     OptResult,
     SearchSpace,
-    first_exploration,
     minimize,
 )
 from seiard.synthdata import NoiseSpec, default_config, generate
@@ -241,54 +238,6 @@ class TestBatchObjective:
 
 class _Stop(Exception):
     """Raised by a recording objective to end a descent."""
-
-
-@st.composite
-def exploration_runs(draw):
-    """(space, budget, seed, init_points): the standard box with a random set
-    of pins, a budget below, at or above one exploration batch, and zero or
-    one init point."""
-    bounds = dict(defaults.SEARCH_BOUNDS)
-    pinned_names = draw(st.lists(st.sampled_from(list(bounds)), unique=True,
-                                 max_size=len(bounds) - 1))
-    pins = {}
-    for name in pinned_names:
-        lo, hi = bounds[name]
-        pins[name] = min(hi, lo + draw(st.floats(0.0, 1.0)) * (hi - lo))
-    space = SearchSpace(bounds, pinned=pins)
-    batch = 10 * len(space.free_names) + 10
-    budget = draw(st.sampled_from([1, batch - 1, batch, batch + 1, 2 * batch])
-                  | st.integers(1, 2 * batch))
-    seed = draw(st.integers(0, 2**32 - 1))
-    lower, upper = space.free_bounds().T
-    init_points = draw(st.sampled_from([[], [(lower + upper) / 2], [upper * 2]]))
-    return space, budget, seed, init_points
-
-
-class TestFirstExploration:
-    @given(exploration_runs())
-    @settings(max_examples=60, deadline=None)
-    def test_equals_the_first_exploration_call(self, run):
-        space, budget, seed, init_points = run
-        calls = []
-
-        def objective(candidates):
-            calls.append(candidates)
-            # the init points come one call each, the exploration batch next
-            if len(calls) > len(init_points):
-                raise _Stop
-            return [0.0] * len(candidates)
-
-        with pytest.raises(_Stop):
-            minimize(objective, space, budget=budget, seed=seed,
-                     method="random+nm", init_points=init_points)
-        want = calls[len(init_points)]
-        got = first_exploration(space, budget, seed, n_init=len(init_points))
-        assert len(got) == len(want) == min(budget - len(init_points),
-                                            10 * len(space.free_names) + 10)
-        assert [list(c) for c in got] == [list(c) for c in want]
-        assert (np.array([list(c.values()) for c in got]).tobytes()
-                == np.array([list(c.values()) for c in want]).tobytes())
 
 
 def _recording(f, raise_on):

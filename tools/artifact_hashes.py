@@ -51,7 +51,7 @@ RUNS = (
     ("profile-posterior", ("profile", *NOISY, *SMALL_PROFILE, *SMALL_MCMC,
                            "--set", "profile.threshold=posterior",
                            "--set", 'profile.params=["beta","p_fatal"]')),
-    # 313 exploration vectors at 225 days: several loss chunks in one solve
+    # every solve runs 225 days
     ("profile-long", ("profile", *NOISY, *SMALL_PROFILE,
                       "--set", "profile.windows=[224]")),
     ("profile-threads", ("profile", *NOISY, *SMALL_PROFILE, "--threads", "2")),
