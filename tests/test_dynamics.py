@@ -533,6 +533,41 @@ class TestBatchKernel:
                              series.series("deceased"), series.series("total")])
             assert observed[b].tobytes() == want.tobytes()
 
+    def test_small_batches_take_the_scalar_path(self, monkeypatch):
+        # every batch, of any size, is solved one vector at a time by integrate
+        solved = []
+        original = dynamics_module.integrate
+
+        def spy(*args, **kwargs):
+            solved.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics_module, "integrate", spy)
+        scenario = default_config()
+        for size in (0, 1, 20):
+            observed, diverged = simulate_observed_batch([TRUE] * size, scenario, 28)
+            assert observed.shape == (size, 4, 29)
+            assert diverged.shape == (size,)
+        assert solved == [TRUE] * 21
+
+    @pytest.mark.parametrize("dt", [0.1, 0.5])
+    def test_crossover_changes_no_bytes(self, dt, monkeypatch):
+        # the compiled and the Python day loop give a batch the same bytes and
+        # the same divergence flags
+        rng = np.random.default_rng(3)
+        params = [ModelParams(**{name: float(rng.uniform(lo, hi))
+                                 for name, (lo, hi) in defaults.SEARCH_BOUNDS.items()})
+                  for _ in range(12)]
+        params[4] = TRUE.replace(beta=1e300)
+        scenario = default_config(a0_fatal_fraction=0.5, dt=dt, population_n=2e6)
+        outcomes = []
+        for loop in (dynamics_module._c_day_loop, lambda: None):
+            monkeypatch.setattr(dynamics_module, "_c_day_loop", loop)
+            observed, diverged = simulate_observed_batch(params, scenario, 40)
+            outcomes.append((observed.tobytes(), diverged.tolist()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] == [b == 4 for b in range(12)]
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             simulate_observed_batch([TRUE], default_config(), 0)

@@ -281,6 +281,22 @@ class TestProfileLikelihood:
         assert seq.argmins == par.argmins
         np.testing.assert_array_equal(seq.failed, par.failed)
 
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("warm_start", [True, False])
+    def test_up_front_solve_changes_no_bit(self, clean_dataset, warm_start, n_jobs):
+        # the standard objective scores each exploration batch in one
+        # fit_loss_batch, a custom loss_fn one candidate at a time; the budget
+        # leaves room for Nelder-Mead after each exploration batch
+        kwargs = dict(
+            grid=[0.18, 0.22, 0.26, 0.30, 0.34], space=reparam_space(),
+            window=FitWindow(0, 21), inner_budget=70, seed=6,
+            warm_start=warm_start, n_jobs=n_jobs)
+        batched = profile_likelihood(clean_dataset, "beta", **kwargs)
+        single = profile_likelihood(clean_dataset, "beta", loss_fn=fit_loss, **kwargs)
+        assert batched.profiled_loss.tobytes() == single.profiled_loss.tobytes()
+        assert batched.argmins == single.argmins
+        assert batched.failed.tolist() == single.failed.tolist()
+
     def test_validation_errors(self, clean_dataset):
         with pytest.raises(ValueError):
             profile_likelihood(clean_dataset, "t_inc", space=reparam_space(),
