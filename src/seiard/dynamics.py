@@ -115,9 +115,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
 
-    def compartment(self, name: str) -> np.ndarray:
-        return self.states[:, COMPARTMENTS.index(name)]
-
 
 @dataclass(frozen=True)
 class ObservedSeries:
@@ -473,31 +470,10 @@ def simulate_observed(params: ModelParams, scenario: DatasetConfig,
 
     scenario supplies population_n, init_observed, a0_fatal_fraction and dt.
     The day-0 state comes from build_initial_state, the solve from integrate
-    and the series from observe; this and simulate_observed_batch are the one
-    path from parameters to observed counts.  Raises what those three raise,
-    notably DivergenceError.
+    and the series from observe; this is the one path from parameters to
+    observed counts.  Raises what those three raise, notably DivergenceError.
     """
     init = build_initial_state(params, scenario.population_n,
                                scenario.init_observed, scenario.a0_fatal_fraction)
     return observe(integrate(params, init, horizon, scenario.dt))
 
-
-def simulate_observed_batch(params, scenario: DatasetConfig,
-                            horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """simulate_observed for a sequence of B parameter vectors.
-
-    Returns (observed, diverged): observed has shape (B, 4, horizon + 1),
-    one row per OBSERVED_SERIES, and observed[b] is the series
-    simulate_observed gives for params[b]; diverged marks the candidates for
-    which simulate_observed raises DivergenceError, and their series are
-    zeros.  Raises what build_initial_state raises.
-    """
-    params = list(params)
-    observed = np.zeros((len(params), len(OBSERVED_SERIES), horizon + 1))
-    diverged = np.zeros(len(params), dtype=bool)
-    for b, p in enumerate(params):
-        try:
-            observed[b] = simulate_observed(p, scenario, horizon).values
-        except DivergenceError:
-            diverged[b] = True
-    return observed, diverged

@@ -117,17 +117,9 @@ class _Recorder:
         return len(self.evaluations) >= self.budget
 
     def evaluate(self, free_values: np.ndarray) -> float:
-        return self.evaluate_batch([free_values])[0]
-
-    def evaluate_batch(self, points: list[np.ndarray]) -> list[float]:
-        """Score points in one objective call and record them in order."""
-        params = [self.space.assemble(free_values) for free_values in points]
-        values = self.objective(params)
-        return [self._record(free_values, candidate, value)
-                for free_values, candidate, value in zip(points, params, values)]
-
-    def _record(self, free_values, params: dict, value) -> float:
-        value = float(value)
+        """Score one point and record it."""
+        params = self.space.assemble(free_values)
+        value = float(self.objective(params))
         if math.isnan(value):
             value = math.inf
         self.evaluations.append((params, value))
@@ -360,9 +352,9 @@ def _run_random_nm(recorder: _Recorder, rng, init_points) -> None:
             pass
 
     def explore() -> None:
-        # the draws are independent of the losses, so the batch is drawn first
         size = min(recorder.budget - len(recorder.evaluations), batch)
-        recorder.evaluate_batch([_uniform_draw(rng, space) for _ in range(size)])
+        for point in [_uniform_draw(rng, space) for _ in range(size)]:
+            recorder.evaluate(point)
 
     explore()
     while not recorder.exhausted:
@@ -379,10 +371,9 @@ def minimize(objective, space: SearchSpace, budget: int, seed: int = 0,
     """Minimize a black-box objective over the search space.
 
     Args:
-        objective: callable taking a list of {name: value} dicts (pinned
-            values included) and returning one real loss per dict; +inf
-            marks infeasibility.  random+nm passes each uniform exploration
-            batch in one call, every other evaluation alone.
+        objective: callable taking one {name: value} dict (pinned values
+            included) and returning its real loss; +inf marks
+            infeasibility.  It is called once per evaluation, in trace order.
         space: intervals and pinned values.
         budget: exact number of objective evaluations to spend (>= 1).
         seed: RNG seed; runs are reproducible and prefix-stable in budget.

@@ -14,7 +14,7 @@ from scipy.special import gammaincinv
 
 from . import defaults
 from .artifacts import write_csv, write_json
-from .loss import FitWindow, fit_loss_batch, fit_objective
+from .loss import FitWindow, fit_objective
 from .optimize import NoFeasiblePointError, SearchSpace, minimize
 from .posterior import loss_quantile
 from .synthdata import Dataset
@@ -339,7 +339,8 @@ def posterior_loss_threshold(dataset: Dataset, chains, window: FitWindow,
         rng = np.random.default_rng(seed)
         keep = sorted(rng.choice(len(draws), size=max_draws, replace=False))
         draws = [draws[k] for k in keep]
-    losses = fit_loss_batch(dataset, [params for params, _, _ in draws], window)
+    objective = fit_objective(dataset, window)
+    losses = np.array([objective.score(params) for params, _, _ in draws])
     return loss_quantile(losses, alpha), losses
 
 

@@ -22,7 +22,7 @@ from .dynamics import (
     DivergenceError,
     ModelParams,
     ParameterDomainError,
-    simulate_observed_batch,
+    simulate_observed,
 )
 from .synthdata import DatasetConfig, default_config
 
@@ -144,14 +144,18 @@ def sensitivity_matrix(params: ModelParams, times, rel_step: float = DEFAULT_REL
             except ParameterDomainError as err:
                 raise DivergenceError(
                     f"perturbing {name} by {sign * delta:+g} failed: {err}") from err
-    observed, diverged = simulate_observed_batch(
-        shifted, default_config() if scenario is None else scenario,
-        int(times.max()))
-    if diverged.any():
-        name = names[int(np.argmax(diverged)) // 2]
-        raise DivergenceError(f"perturbing {name} diverged the solve")
+    scenario = default_config() if scenario is None else scenario
     rows = [OBSERVED_SERIES.index(name) for name in OBSERVED_FOR_RANK]
-    stacks = observed[:, rows][:, :, times.astype(int)].reshape(len(shifted), -1)
+    days = times.astype(int)
+    stacks = []
+    for k, shifted_params in enumerate(shifted):
+        try:
+            observed = simulate_observed(shifted_params, scenario, int(days.max()))
+        except DivergenceError as err:
+            raise DivergenceError(
+                f"perturbing {names[k // 2]} diverged the solve") from err
+        stacks.append(observed.values[rows][:, days].ravel())
+    stacks = np.array(stacks)
     # delta = rel_step * theta, so each quotient is theta * dy/dtheta
     matrix = ((stacks[0::2] - stacks[1::2]) / (2.0 * rel_step)).T
 

@@ -21,7 +21,6 @@ from seiard.dynamics import (
     integrate,
     observe,
     simulate_observed,
-    simulate_observed_batch,
 )
 from seiard.synthdata import default_config
 
@@ -153,8 +152,8 @@ class TestIntegrate:
     def test_zero_fatality_keeps_deceased_constant(self):
         params = TRUE.replace(p_fatal=0.0)
         traj = integrate(params, build_initial_state(params, N, defaults.INIT_OBSERVED), 100)
-        assert (traj.compartment("a_fatal") == 0.0).all()
-        assert (traj.compartment("d") == 0.0).all()
+        assert (traj.states[:, COMPARTMENTS.index("a_fatal")] == 0.0).all()
+        assert (traj.states[:, COMPARTMENTS.index("d")] == 0.0).all()
 
     def test_step_refinement_changes_little(self):
         coarse = integrate(TRUE, default_init(), defaults.HORIZON_DAYS, dt=0.1)
@@ -176,7 +175,7 @@ class TestIntegrate:
 
     def test_epidemic_curve_single_peak(self):
         traj = integrate(TRUE, default_init(), defaults.HORIZON_DAYS)
-        i_curve = traj.compartment("i")
+        i_curve = traj.states[:, COMPARTMENTS.index("i")]
         peak = int(np.argmax(i_curve))
         assert 0 < peak < defaults.HORIZON_DAYS
         assert (np.diff(i_curve[: peak + 1]) > 0).all()
@@ -184,24 +183,25 @@ class TestIntegrate:
 
     def test_monotone_terminal_compartments(self):
         traj = integrate(TRUE, default_init(), defaults.HORIZON_DAYS)
-        assert (np.diff(traj.compartment("r")) >= 0).all()
-        assert (np.diff(traj.compartment("d")) >= 0).all()
-        assert (np.diff(traj.compartment("s")) <= 0).all()
+        assert (np.diff(traj.states[:, COMPARTMENTS.index("r")]) >= 0).all()
+        assert (np.diff(traj.states[:, COMPARTMENTS.index("d")]) >= 0).all()
+        assert (np.diff(traj.states[:, COMPARTMENTS.index("s")]) <= 0).all()
 
     def test_fatal_branch_bookkeeping_identity(self):
         # everyone leaving I splits by p_fatal, so at every instant
         # d + a_fatal == p_fatal * (cumulative outflow from S/E/I plus the
         # initially active pool), given the default initial split.
         traj = integrate(TRUE, default_init(), defaults.HORIZON_DAYS)
-        s, e, i = (traj.compartment(k) for k in ("s", "e", "i"))
-        lhs = traj.compartment("d") + traj.compartment("a_fatal")
+        s, e, i, a_fatal, d = (traj.states[:, COMPARTMENTS.index(k)]
+                               for k in ("s", "e", "i", "a_fatal", "d"))
+        lhs = d + a_fatal
         rhs = TRUE.p_fatal * (N - s - e - i)
         assert np.abs(lhs - rhs).max() <= 1e-6
 
     def test_final_deaths_approximate_fatality_share(self):
         traj = integrate(TRUE, default_init(), defaults.HORIZON_DAYS)
-        ever_infected = N - traj.compartment("s")[-1]
-        d_final = traj.compartment("d")[-1]
+        ever_infected = N - traj.states[:, COMPARTMENTS.index("s")][-1]
+        d_final = traj.states[:, COMPARTMENTS.index("d")][-1]
         assert d_final == pytest.approx(TRUE.p_fatal * ever_infected, rel=0.02)
 
     @pytest.mark.parametrize("horizon", [0, -3, 2.5])
@@ -479,32 +479,29 @@ class TestCompiledLoop:
         assert user_dir == tmp_path / ".cache" / "seiard"
 
 
-def _assert_rows_match(params, scenario, horizon):
-    """simulate_observed_batch against simulate_observed, vector by vector:
-    the same bytes, or diverged and zeros where simulate_observed raises."""
-    observed, diverged = simulate_observed_batch(params, scenario, horizon)
-    assert observed.shape == (len(params), 4, horizon + 1)
-    for b, p in enumerate(params):
-        outcome = _outcome(lambda: simulate_observed(p, scenario, horizon).values)
-        if outcome[0] == "states":
-            assert not diverged[b]
-            assert observed[b].tobytes() == outcome[1]
-        else:
-            assert diverged[b]
-            assert not observed[b].any()
-    return observed, diverged
+def _assert_matches_integrate(params, scenario, horizon):
+    """simulate_observed against observe(integrate(...)) from the scenario's
+    fields: the same bytes, or the same DivergenceError message.  Returns
+    that outcome."""
+    init = build_initial_state(params, scenario.population_n,
+                               scenario.init_observed, scenario.a0_fatal_fraction)
+    got = _outcome(lambda: simulate_observed(params, scenario, horizon).values)
+    want = _outcome(lambda: observe(integrate(params, init, horizon, scenario.dt)).values)
+    assert got == want
+    return got
 
 
 class TestBatchKernel:
-    """simulate_observed_batch, which fit_loss_batch solves through, gives
-    simulate_observed's series for each vector."""
+    """simulate_observed, the one path from parameters to observed series,
+    gives observe(integrate(...)) on both day loops and through the day
+    check's clamp and raise cases.  The class keeps the name of the batch
+    kernel these checks were written for."""
 
-    @given(params=st.lists(search_params, min_size=1, max_size=5),
-           dt=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+    @given(params=search_params, dt=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
            horizon=st.integers(1, 120))
     @settings(max_examples=60, deadline=None)
     def test_columns_match_integrate(self, params, dt, horizon):
-        _assert_rows_match(params, default_config(dt=dt), horizon)
+        _assert_matches_integrate(params, default_config(dt=dt), horizon)
 
     @pytest.mark.parametrize("dt", [0.5, 1.0])
     def test_mixed_batch_with_clamps_and_divergences(self, dt):
@@ -514,46 +511,17 @@ class TestBatchKernel:
             params, population, case_dt = case[:3]
             message = case[-1]
             scenario = default_config(population_n=population, dt=dt)
-            mixed = [TRUE, params, TRUE.replace(beta=0.0)]
-            _, diverged = _assert_rows_match(mixed, scenario, 40)
-            assert not diverged[[0, 2]].any()
+            for finite in (TRUE, TRUE.replace(beta=0.0)):
+                assert _assert_matches_integrate(finite, scenario, 40)[0] == "states"
+            outcome = _assert_matches_integrate(params, scenario, 40)
             if case_dt == dt:
-                assert diverged[1] == (message is not None)
-
-    def test_simulate_observed_batch_matches_simulate_observed(self):
-        params = [TRUE, TRUE.replace(beta=0.4, p_fatal=0.1), TRUE.replace(beta=1e300)]
-        scenario = default_config(population_n=N, dt=0.25)
-        observed, diverged = simulate_observed_batch(params, scenario, 30)
-        assert observed.shape == (3, 4, 31)
-        assert diverged.tolist() == [False, False, True]
-        assert not observed[2].any()
-        for b in range(2):
-            series = simulate_observed(params[b], scenario, 30)
-            want = np.array([series.series("active"), series.series("recovered"),
-                             series.series("deceased"), series.series("total")])
-            assert observed[b].tobytes() == want.tobytes()
-
-    def test_small_batches_take_the_scalar_path(self, monkeypatch):
-        # every batch, of any size, is solved one vector at a time by integrate
-        solved = []
-        original = dynamics_module.integrate
-
-        def spy(*args, **kwargs):
-            solved.append(args[0])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(dynamics_module, "integrate", spy)
-        scenario = default_config()
-        for size in (0, 1, 20):
-            observed, diverged = simulate_observed_batch([TRUE] * size, scenario, 28)
-            assert observed.shape == (size, 4, 29)
-            assert diverged.shape == (size,)
-        assert solved == [TRUE] * 21
+                assert (outcome[0] == "states" if message is None
+                        else outcome == ("diverged", message))
 
     @pytest.mark.parametrize("dt", [0.1, 0.5])
     def test_crossover_changes_no_bytes(self, dt, monkeypatch):
-        # the compiled and the Python day loop give a batch the same bytes and
-        # the same divergence flags
+        # the compiled and the Python day loop give each vector the same bytes
+        # or the same divergence message
         rng = np.random.default_rng(3)
         params = [ModelParams(**{name: float(rng.uniform(lo, hi))
                                  for name, (lo, hi) in defaults.SEARCH_BOUNDS.items()})
@@ -563,26 +531,28 @@ class TestBatchKernel:
         outcomes = []
         for loop in (dynamics_module._c_day_loop, lambda: None):
             monkeypatch.setattr(dynamics_module, "_c_day_loop", loop)
-            observed, diverged = simulate_observed_batch(params, scenario, 40)
-            outcomes.append((observed.tobytes(), diverged.tolist()))
+            outcomes.append([_outcome(lambda: simulate_observed(p, scenario, 40).values)
+                             for p in params])
         assert outcomes[0] == outcomes[1]
-        assert outcomes[0][1] == [b == 4 for b in range(12)]
+        assert [kind for kind, _ in outcomes[0]] == [
+            "diverged" if b == 4 else "states" for b in range(12)]
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            simulate_observed_batch([TRUE], default_config(), 0)
+            simulate_observed(TRUE, default_config(), 0)
         with pytest.raises(ParameterDomainError):
-            simulate_observed_batch([TRUE], default_config(population_n=5.0), 10)
+            simulate_observed(TRUE, default_config(population_n=5.0), 10)
 
 
 class TestObserve:
     def test_mapping_identities(self):
         traj = integrate(TRUE, default_init(), 50)
         obs = observe(traj)
-        assert (obs.series("active")
-                == traj.compartment("a_recov") + traj.compartment("a_fatal")).all()
-        assert (obs.series("recovered") == traj.compartment("r")).all()
-        assert (obs.series("deceased") == traj.compartment("d")).all()
+        a_recov, a_fatal, r, d = (traj.states[:, COMPARTMENTS.index(k)]
+                                  for k in ("a_recov", "a_fatal", "r", "d"))
+        assert (obs.series("active") == a_recov + a_fatal).all()
+        assert (obs.series("recovered") == r).all()
+        assert (obs.series("deceased") == d).all()
         assert (obs.series("total") == obs.series("active") + obs.series("recovered")
                 + obs.series("deceased")).all()
 

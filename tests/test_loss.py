@@ -4,7 +4,6 @@ import pickle
 import numpy as np
 import pytest
 
-import seiard.loss as loss_module
 from seiard import defaults
 from seiard.dynamics import (
     OBSERVED_SERIES,
@@ -16,7 +15,6 @@ from seiard.loss import (
     EPSILON_PERSONS,
     FitWindow,
     fit_loss,
-    fit_loss_batch,
     fit_objective,
     mape,
 )
@@ -121,7 +119,7 @@ class TestFitLoss:
         coarse = generate(default_config(horizon=60, dt=0.5))
         window = FitWindow(0, 28)
         assert fit_loss(coarse, TRUE, window) == 0.0
-        assert fit_loss_batch(coarse, [TRUE] * 25, window).tolist() == [0.0] * 25
+        assert fit_objective(coarse, window)(TRUE.as_dict()) == 0.0
         fine = Dataset(coarse.observed, coarse.config.replace(dt=0.1))
         assert fit_loss(fine, TRUE, window) > 0.0
 
@@ -150,68 +148,39 @@ def reference_fit_loss(dataset, params, window):
 
 
 class TestFitLossBatch:
+    """fit_loss over many candidates and windows, diverging ones among them.
+    The class keeps the name of the batch scorer these checks were written
+    for."""
+
     @pytest.fixture(scope="class")
     def noisy(self):
         return generate(default_config(horizon=120, noise=NoiseSpec(0.2), seed=5))
 
     @pytest.mark.parametrize("window", [FitWindow(0, 1), FitWindow(0, 28),
                                         FitWindow(3, 11), FitWindow(10, 120)])
-    def test_equals_scalar_and_reference(self, noisy, window, monkeypatch):
-        # three chunks of 20 vectors, with diverging candidates among the
-        # finite ones
-        monkeypatch.setattr(loss_module, "BATCH_COLUMNS", 24)
+    def test_equals_scalar_and_reference(self, noisy, window):
         params = _random_params(np.random.default_rng(window.t_end), 60)
         params[5] = params[40] = TRUE.replace(beta=1e300)
-        got = fit_loss_batch(noisy, params, window)
-        want = [fit_loss(noisy, p, window) for p in params]
-        assert got.tobytes() == np.array(want).tobytes()
-        assert want == [reference_fit_loss(noisy, p, window) for p in params]
-        assert np.isinf(got).tolist() == [k in (5, 40) for k in range(60)]
-
-    @pytest.mark.parametrize("n, t_end, day_columns", [
-        (1, 28, None), (255, 28, None), (257, 28, None), (600, 28, None),
-        (313, 224, None), (90, 400, None), (21, 400, None), (7, 120, 50)])
-    def test_chunks(self, long_dataset, n, t_end, day_columns, monkeypatch):
-        # the spy solves nothing: only the split is under test
-        sizes = []
-        seen = []
-
-        def spy(params, scenario, horizon):
-            sizes.append(len(params))
-            seen.extend(params)
-            return (np.zeros((len(params), len(OBSERVED_SERIES), horizon + 1)),
-                    np.zeros(len(params), dtype=bool))
-
-        monkeypatch.setattr(loss_module, "simulate_observed_batch", spy)
-        if day_columns is not None:
-            monkeypatch.setattr(loss_module, "BATCH_DAY_COLUMNS", day_columns)
-        params = _random_params(np.random.default_rng(n), n)
-        fit_loss_batch(long_dataset, params, FitWindow(0, t_end))
-        assert seen == params
-        assert max(sizes) - min(sizes) <= 1
-        assert max(sizes) <= 256
-        assert (max(sizes) * (t_end + 1) <= loss_module.BATCH_DAY_COLUMNS
-                or max(sizes) == 1)
-        # the fewest chunks those bounds allow
-        width = max(1, min(256, loss_module.BATCH_DAY_COLUMNS // (t_end + 1)))
-        assert len(sizes) == math.ceil(n / width)
-
-    def test_empty_batch(self, noisy):
-        assert fit_loss_batch(noisy, [], FitWindow(0, 28)).shape == (0,)
+        got = [fit_loss(noisy, p, window) for p in params]
+        assert got == [reference_fit_loss(noisy, p, window) for p in params]
+        assert [math.isinf(v) for v in got] == [k in (5, 40) for k in range(60)]
 
     def test_window_must_fit_dataset(self, noisy):
         with pytest.raises(ValueError):
-            fit_loss_batch(noisy, [TRUE] * 30, FitWindow(0, 121))
+            fit_objective(noisy, FitWindow(0, 121))
 
 
 class TestFitObjective:
-    def test_scores_a_list_with_fit_loss(self, dataset):
+    def test_scores_one_candidate_with_fit_loss(self, dataset):
         window = FitWindow(0, 28)
         objective = fit_objective(dataset, window)
         candidates = [p.as_dict() for p in _random_params(np.random.default_rng(2), 30)]
+        candidates[7] = TRUE.replace(beta=1e300).as_dict()
         want = [fit_loss(dataset, ModelParams.from_dict(c), window) for c in candidates]
-        assert objective(candidates).tolist() == want
-        assert [float(objective([c])[0]) for c in candidates] == want
+        got = [objective(c) for c in candidates]
+        assert got == want
+        assert all(type(v) is float for v in got)
+        assert got[7] == math.inf
 
     def test_custom_loss_applied_to_each_candidate(self, dataset):
         seen = []
@@ -222,7 +191,7 @@ class TestFitObjective:
 
         objective = fit_objective(dataset, FitWindow(0, 5), custom)
         other = TRUE.replace(beta=0.5)
-        assert list(objective([TRUE.as_dict(), other.as_dict()])) == [
+        assert [objective(TRUE.as_dict()), objective(other.as_dict())] == [
             2.0 * TRUE.beta, 1.0]
         assert seen == [(dataset, TRUE, FitWindow(0, 5)),
                         (dataset, other, FitWindow(0, 5))]
@@ -231,4 +200,4 @@ class TestFitObjective:
         # profile sends it to its sweep processes
         objective = fit_objective(dataset, FitWindow(0, 28))
         copy = pickle.loads(pickle.dumps(objective))
-        assert copy([TRUE.as_dict()]).tolist() == objective([TRUE.as_dict()]).tolist()
+        assert copy(TRUE.as_dict()) == objective(TRUE.as_dict())

@@ -22,14 +22,12 @@ from seiard.optimize import (
 from seiard.synthdata import NoiseSpec, default_config, generate
 
 
-def pointwise(f):
-    """A minimize objective that scores each candidate dict with f."""
-    return lambda candidates: [f(p) for p in candidates]
-
-
-@pointwise
 def quadratic_1d(p):
     return (p["x"] - 0.3) ** 2
+
+
+def quadratic_2d(p):
+    return (p["x"] - 0.3) ** 2 + (p["y"] + 0.2) ** 2
 
 
 class TestSearchSpace:
@@ -89,12 +87,12 @@ class TestMinimize:
             seen.append(p["c"])
             return (p["x"] - 0.3) ** 2
 
-        minimize(pointwise(objective), space, budget=40, seed=1, method=method)
+        minimize(objective, space, budget=40, seed=1, method=method)
         assert all(c == 3.25 for c in seen)
 
     def test_never_leaves_box(self, method):
         space = SearchSpace(bounds={"x": (0.2, 0.8), "y": (-0.5, 0.5)})
-        res = minimize(pointwise(lambda p: p["x"] + p["y"]), space,
+        res = minimize(lambda p: p["x"] + p["y"], space,
                        budget=120, seed=2, method=method)
         for params, _ in res.evaluations:
             assert 0.2 <= params["x"] <= 0.8
@@ -108,9 +106,8 @@ class TestMinimize:
 
     def test_best_loss_monotone_in_budget_same_seed(self, method):
         space = SearchSpace(bounds={"x": (0.0, 1.0), "y": (-1.0, 1.0)})
-        objective = pointwise(lambda p: (p["x"] - 0.3) ** 2 + (p["y"] + 0.2) ** 2)
-        small = minimize(objective, space, budget=80, seed=3, method=method)
-        large = minimize(objective, space, budget=240, seed=3, method=method)
+        small = minimize(quadratic_2d, space, budget=80, seed=3, method=method)
+        large = minimize(quadratic_2d, space, budget=240, seed=3, method=method)
         # shared seed means the longer run replays the shorter one first
         for (pa, la), (pb, lb) in zip(small.evaluations, large.evaluations):
             assert pa == pb and la == lb
@@ -119,16 +116,31 @@ class TestMinimize:
     def test_no_feasible_point(self, method):
         space = SearchSpace(bounds={"x": (0.0, 1.0)})
         with pytest.raises(NoFeasiblePointError):
-            minimize(pointwise(lambda p: math.inf), space, budget=30, seed=0,
+            minimize(lambda p: math.inf, space, budget=30, seed=0,
                      method=method)
 
     def test_nan_treated_as_infeasible(self, method):
         space = SearchSpace(bounds={"x": (0.0, 1.0)})
         res = minimize(
-            pointwise(lambda p: math.nan if p["x"] < 0.5 else (p["x"] - 0.6) ** 2),
+            lambda p: math.nan if p["x"] < 0.5 else (p["x"] - 0.6) ** 2,
             space, budget=60, seed=4, method=method)
         assert math.isfinite(res.best_loss)
         assert res.best_params["x"] >= 0.5
+
+    def test_objective_called_once_per_evaluation_in_trace_order(self, method):
+        # enough budget for random+nm to explore and then descend
+        space = SearchSpace(bounds={"x": (0.0, 1.0), "y": (-1.0, 1.0),
+                                    "c": (0.0, 10.0)}, pinned={"c": 3.25})
+        calls = []
+
+        def objective(p):
+            calls.append(p)
+            return quadratic_2d(p)
+
+        res = minimize(objective, space, budget=90, seed=8, method=method,
+                       init_points=[[0.5, 0.5]])
+        assert all(type(p) is dict for p in calls)
+        assert calls == [p for p, _ in res.evaluations]
 
     def test_warm_start_points_evaluated_first(self, method):
         space = SearchSpace(bounds={"x": (0.0, 1.0)})
@@ -142,8 +154,7 @@ class TestMinimize:
 class TestTpeSmoke:
     def test_2d_quadratic_within_tolerance(self):
         space = SearchSpace(bounds={"x": (0.0, 1.0), "y": (-1.0, 1.0)})
-        objective = pointwise(lambda p: (p["x"] - 0.3) ** 2 + (p["y"] + 0.2) ** 2)
-        res = minimize(objective, space, budget=500, seed=0, method="tpe")
+        res = minimize(quadratic_2d, space, budget=500, seed=0, method="tpe")
         assert abs(res.best_params["x"] - 0.3) <= 1e-2
         assert abs(res.best_params["y"] + 0.2) <= 1e-2
 
@@ -180,59 +191,70 @@ class TestResultContract:
 
 
 class TestBatchObjective:
-    """random+nm gives the same trace from the fit objective, which scores
-    each exploration batch in one call, as from fit_loss one at a time."""
+    """random+nm draws each uniform exploration batch whole before scoring
+    any of it, and the fit objective gives the trace fit_loss gives."""
 
     @pytest.fixture(scope="class")
     def dataset(self):
         return generate(default_config(horizon=40, noise=NoiseSpec(0.05), seed=8))
 
     @staticmethod
-    def _both(objective, reference, space, **kwargs):
-        batches = []
+    def _both(objective, reference, space, monkeypatch, **kwargs):
+        """Run minimize on objective and on reference and assert the same
+        trace.  Returns the lengths, where above one, of the runs of uniform
+        draws made with no objective call between them."""
+        runs = [0]
+        draw = optimize_module._uniform_draw
 
-        def counted(candidates):
-            if len(candidates) > 1:
-                batches.append(len(candidates))
-            return objective(candidates)
+        def counted_draw(rng, space):
+            runs[-1] += 1
+            return draw(rng, space)
 
-        batched = minimize(counted, space, **kwargs)
-        single = minimize(reference, space, **kwargs)
-        assert batched.evaluations == single.evaluations
-        assert batched.best_loss == single.best_loss
-        return batches
+        def counted(candidate):
+            runs.append(0)
+            return objective(candidate)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(optimize_module, "_uniform_draw", counted_draw)
+            first = minimize(counted, space, **kwargs)
+        second = minimize(reference, space, **kwargs)
+        assert first.evaluations == second.evaluations
+        assert first.best_loss == second.best_loss
+        return [n for n in runs if n > 1]
 
     @staticmethod
     def _fit_pair(dataset):
         window = FitWindow(0, 28)
-        return (fit_objective(dataset, window),
-                pointwise(lambda p: fit_loss(dataset, ModelParams.from_dict(p),
-                                             window)))
 
-    def test_fit_with_warm_start(self, dataset):
+        def reference(p):
+            return fit_loss(dataset, ModelParams.from_dict(p), window)
+        return fit_objective(dataset, window), reference
+
+    def test_fit_with_warm_start(self, dataset, monkeypatch):
         space = SearchSpace(dict(defaults.SEARCH_BOUNDS), pinned=dict(defaults.REPARAM_PINS))
         warm = space.extract_free(defaults.TRUE_PARAMS.as_dict())
-        batches = self._both(*self._fit_pair(dataset), space, budget=150, seed=3,
-                             init_points=[warm, warm * 1.1])
+        batches = self._both(*self._fit_pair(dataset), space, monkeypatch,
+                             budget=150, seed=3, init_points=[warm, warm * 1.1])
         # five free parameters: one exploration batch of 10 * 5 + 10
         assert batches == [60]
 
-    def test_budget_below_batch_size(self, dataset):
+    def test_budget_below_batch_size(self, dataset, monkeypatch):
         space = SearchSpace(dict(defaults.SEARCH_BOUNDS))
-        batches = self._both(*self._fit_pair(dataset), space, budget=37, seed=4,
+        batches = self._both(*self._fit_pair(dataset), space, monkeypatch,
+                             budget=37, seed=4,
                              init_points=[space.extract_free(defaults.TRUE_PARAMS.as_dict())])
         assert batches == [36]
 
-    def test_restart_batches(self):
+    def test_restart_batches(self, monkeypatch):
         # feasible only near x = 1: the first batches find nothing to polish,
         # so random+nm draws further batches
         space = SearchSpace(bounds={"x": (0.0, 1.0), "y": (0.0, 1.0)})
 
-        @pointwise
         def objective(p):
             return (p["x"] - 1.0) ** 2 + p["y"] if p["x"] > 0.97 else math.inf
 
-        batches = self._both(objective, objective, space, budget=200, seed=1)
+        batches = self._both(objective, objective, space, monkeypatch,
+                             budget=200, seed=1)
         assert len(batches) >= 2 and batches[0] == 30
 
 
@@ -430,7 +452,6 @@ class TestTpeProposal:
         centre = space.extract_free(defaults.TRUE_PARAMS.as_dict())
         widths = np.diff(space.free_bounds(), axis=1)[:, 0]
 
-        @pointwise
         def objective(p):
             x = space.extract_free(p)
             return float(np.sum(((x - centre) / widths) ** 2))

@@ -283,19 +283,19 @@ class TestProfileLikelihood:
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     @pytest.mark.parametrize("warm_start", [True, False])
-    def test_up_front_solve_changes_no_bit(self, clean_dataset, warm_start, n_jobs):
-        # the standard objective scores each exploration batch in one
-        # fit_loss_batch, a custom loss_fn one candidate at a time; the budget
-        # leaves room for Nelder-Mead after each exploration batch
+    def test_custom_loss_gives_the_same_curve(self, clean_dataset, warm_start, n_jobs):
+        # loss_fn=fit_loss builds the window's rows anew for every candidate,
+        # the standard objective once; the budget leaves room for Nelder-Mead
+        # after each exploration batch
         kwargs = dict(
             grid=[0.18, 0.22, 0.26, 0.30, 0.34], space=reparam_space(),
             window=FitWindow(0, 21), inner_budget=70, seed=6,
             warm_start=warm_start, n_jobs=n_jobs)
-        batched = profile_likelihood(clean_dataset, "beta", **kwargs)
-        single = profile_likelihood(clean_dataset, "beta", loss_fn=fit_loss, **kwargs)
-        assert batched.profiled_loss.tobytes() == single.profiled_loss.tobytes()
-        assert batched.argmins == single.argmins
-        assert batched.failed.tolist() == single.failed.tolist()
+        standard = profile_likelihood(clean_dataset, "beta", **kwargs)
+        custom = profile_likelihood(clean_dataset, "beta", loss_fn=fit_loss, **kwargs)
+        assert standard.profiled_loss.tobytes() == custom.profiled_loss.tobytes()
+        assert standard.argmins == custom.argmins
+        assert standard.failed.tolist() == custom.failed.tolist()
 
     def test_validation_errors(self, clean_dataset):
         with pytest.raises(ValueError):

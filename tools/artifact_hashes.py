@@ -51,6 +51,12 @@ RUNS = (
     ("profile-posterior", ("profile", *NOISY, *SMALL_PROFILE, *SMALL_MCMC,
                            "--set", "profile.threshold=posterior",
                            "--set", 'profile.params=["beta","p_fatal"]')),
+    # 2 200 pooled draws: the threshold subsamples them to max_draws=2000
+    ("profile-posterior-many", ("profile", *NOISY, *SMALL_PROFILE,
+                                "--set", "mcmc.n_samples=1200",
+                                "--set", "mcmc.n_burn=100", "--set", "mcmc.thin=1",
+                                "--set", "mcmc.n_chains=2",
+                                "--set", "profile.threshold=posterior")),
     # every solve runs 225 days
     ("profile-long", ("profile", *NOISY, *SMALL_PROFILE,
                       "--set", "profile.windows=[224]")),
